@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, TruncatedFileError
 from .rng import stream
 
 MODALITY_LEVEL = "modality"
@@ -391,28 +392,68 @@ def save_checkpoint(path, params: MoEParams, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> MoEParams:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Malformed bytes raise :class:`FormatError`, and
+    :class:`TruncatedFileError` when the file ends early.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 8:
+        raise TruncatedFileError("checkpoint shorter than its 8-byte prefix")
     if raw[:4] != _CHECKPOINT_MAGIC:
         raise FormatError("not a parameter checkpoint (bad magic)")
     blob_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    manifest = json.loads(raw[8 : 8 + blob_len].decode("utf-8"))
-    cfg = MoEConfig(
-        n_experts=manifest["n_experts"],
-        n_modalities=manifest["n_modalities"],
-        d_image=manifest["d_image"],
-        d_text=manifest["d_text"],
-        hidden=manifest["hidden"],
-        granularity=tuple(manifest["granularity"]),
-    )
-    arrays = {}
     offset = 8 + blob_len
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 8
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        if arr.size != int(np.prod(shape)):
-            raise FormatError(f"checkpoint truncated at array {entry['name']}")
-        arrays[entry["name"]] = arr.astype(np.float64)
+    if offset > len(raw):
+        raise TruncatedFileError(f"checkpoint truncated in its {blob_len}-byte manifest")
+    try:
+        manifest = json.loads(raw[8:offset].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"checkpoint manifest is not UTF-8 JSON: {exc}") from None
+    cfg, entries = _manifest_layout(manifest)
+    arrays = {}
+    for name, shape in entries:
+        nbytes = math.prod(shape) * 8
+        if offset + nbytes > len(raw):
+            raise TruncatedFileError(f"checkpoint truncated at array {name}")
+        try:
+            arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
+        except ValueError:  # more dims, or a larger extent, than numpy allows
+            raise FormatError(f"checkpoint array {name} has unusable shape {shape}") from None
+        arrays[name] = arr.astype(np.float64)
         offset += nbytes
+    if offset != len(raw):
+        raise FormatError(f"checkpoint has {len(raw) - offset} trailing bytes")
     return MoEParams(cfg, arrays)
+
+
+def _manifest_layout(manifest) -> tuple[MoEConfig, list[tuple[str, tuple[int, ...]]]]:
+    """Config and (name, shape) array entries of a checkpoint manifest, validated."""
+
+    def count(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    ints = ("n_experts", "n_modalities", "d_image", "d_text", "hidden")
+    required = set(ints) | {"granularity", "arrays"}
+    if not isinstance(manifest, dict) or not required <= set(manifest):
+        raise FormatError("checkpoint manifest lacks required keys")
+    if not all(count(manifest[k]) for k in ints):
+        raise FormatError(f"checkpoint manifest sizes {ints} must be non-negative integers")
+    tags, listed = manifest["granularity"], manifest["arrays"]
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise FormatError("checkpoint granularity must be a list of strings")
+    if not isinstance(listed, list):
+        raise FormatError("checkpoint arrays must be a list")
+    entries = []
+    for entry in listed:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(count(n) for n in entry["shape"])):
+            raise FormatError("checkpoint arrays must be {name, shape} entries")
+        entries.append((entry["name"], tuple(entry["shape"])))
+    try:
+        cfg = MoEConfig(**{k: manifest[k] for k in ints}, granularity=tuple(tags))
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint manifest: {exc}") from None
+    return cfg, entries

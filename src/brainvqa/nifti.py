@@ -12,6 +12,7 @@ diagonal built from pixdim.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,10 +282,16 @@ def parse_nifti(raw: bytes) -> Volume3D:
 
     Raises :class:`FormatError` for bad magic / NIfTI-2 / header-image pairs,
     :class:`UnsupportedDatatypeError` for datatype codes outside the scalar
-    table, and :class:`TruncatedFileError` when the payload is short.
+    table, and :class:`TruncatedFileError` when the payload or the gzip
+    stream is short.  A corrupt gzip stream is a :class:`FormatError`.
     """
     if raw[:2] == GZIP_MAGIC:
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except EOFError as exc:
+            raise TruncatedFileError(f"gzip stream ends early: {exc}") from None
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise FormatError(f"corrupt gzip stream: {exc}") from None
     hdr, order = _decode_header(raw)
     magic = bytes(hdr["magic"]).ljust(4, b"\x00")  # numpy strips trailing NULs
     if magic == MAGIC_PAIR:
@@ -412,6 +419,22 @@ def conform_to_ras(
     identity and conforming is idempotent.  Masks must use ``nearest`` so
     label values survive exactly; world coordinates of corresponding voxels
     agree within half a voxel.
+
+    Two sampling paths give the same bytes; the affine alone picks one:
+
+    - ``nearest`` with an axis-aligned affine (exactly one non-zero per row
+      and column of the 3x3 block: a signed permutation times a positive
+      diagonal) is separable.  One rounded index vector per output axis picks
+      rows, columns and planes of the transposed input (a strided copy when
+      every vector steps evenly, as for the identity, flips and integer
+      downsampling), so memory beyond the input and the output is
+      O(sum of the output dims), plus one gathered copy for uneven steps.
+    - Oblique affines, and ``trilinear`` for any affine, map every output
+      voxel through the inverse affine, one slab of whole output rows (first
+      axis) at a time.  The float64 and int64 coordinate temporaries cover at
+      most ``max(_SLAB_VOXELS, one output plane)`` voxels, so memory is the
+      output plus a bound that does not grow with the grid (``trilinear``
+      also holds one float64 copy of the input).
     """
     if interpolation not in ("nearest", "trilinear"):
         raise ConfigError(f"unknown interpolation {interpolation!r}")
@@ -419,13 +442,31 @@ def conform_to_ras(
     if spacing.shape != (3,) or (spacing <= 0).any():
         raise GeometryError(f"target spacing must be 3 positive reals, got {target_spacing}")
 
-    affine = vol.header.affine
     try:
-        inv = np.linalg.inv(affine)
+        inv = np.linalg.inv(vol.header.affine)
     except np.linalg.LinAlgError:
         raise GeometryError("affine is not invertible") from None
 
-    dims = np.asarray(vol.header.dims, dtype=np.float64)
+    code = vol.header.datatype_code if interpolation == "nearest" else 64
+    header = _ras_header(vol.header, spacing, code)
+    perm = _axis_permutation(inv[:3, :3])
+    if interpolation == "nearest" and perm is not None:
+        out = _nearest_separable(vol.data, inv, perm, header)
+    else:
+        out = _resample_slabs(vol.data, inv, header, interpolation)
+    return Volume3D(header=header, data=out)
+
+
+# Output voxels per slab of the general resampling path.  Its coordinate
+# temporaries peak near 180 bytes per voxel, so a slab stays near 6 MB and
+# in cache; larger slabs measured slower on an oblique 96^3 conform.
+_SLAB_VOXELS = 1 << 15
+
+
+def _ras_header(header: VolumeHeader, spacing: np.ndarray, code: int) -> VolumeHeader:
+    """RAS grid at ``spacing`` covering the voxel-extent box of ``header``."""
+    affine = header.affine
+    dims = np.asarray(header.dims, dtype=np.float64)
     lows, highs = -0.5 * np.ones(3), dims - 0.5  # voxel-extent box, not centers
     corners = np.array(
         [[highs[a] if bits[a] else lows[a] for a in range(3)] for bits in np.ndindex(2, 2, 2)]
@@ -435,41 +476,105 @@ def conform_to_ras(
     wmax = world.max(axis=0)
     span = wmax - wmin
     out_dims = np.maximum(1, np.rint(span / spacing).astype(int))
-    origin = wmin + spacing / 2.0
 
     out_affine = np.eye(4)
     out_affine[:3, :3] = np.diag(spacing)
-    out_affine[:3, 3] = origin
-
-    ii, jj, kk = np.meshgrid(
-        np.arange(out_dims[0]), np.arange(out_dims[1]), np.arange(out_dims[2]), indexing="ij"
-    )
-    out_idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
-    world_pts = out_idx * spacing + origin
-    src = (inv[:3, :3] @ world_pts.T).T + inv[:3, 3]
-
-    if interpolation == "nearest":
-        nearest = np.rint(src).astype(np.int64)
-        valid = ((nearest >= 0) & (nearest < vol.header.dims)).all(axis=1)
-        out = np.zeros(int(np.prod(out_dims)), dtype=vol.data.dtype)
-        nv = nearest[valid]
-        out[valid] = vol.data[nv[:, 0], nv[:, 1], nv[:, 2]]
-    else:
-        out = _trilinear_sample(vol.data, src)
-    out = out.reshape(tuple(out_dims))
-
-    header = VolumeHeader(
+    out_affine[:3, 3] = wmin + spacing / 2.0  # center of the first output voxel
+    return VolumeHeader(
         dims=tuple(int(d) for d in out_dims),
         pixdim=tuple(float(s) for s in spacing),
         affine=out_affine,
-        datatype_code=vol.header.datatype_code if interpolation == "nearest" else 64,
+        datatype_code=code,
     )
-    return Volume3D(header=header, data=out)
 
 
-def _trilinear_sample(data: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Sample ``data`` at fractional voxel coordinates, zero outside."""
-    values = data.astype(np.float64)
+def _axis_permutation(inv3: np.ndarray) -> np.ndarray | None:
+    """``perm[a]``: the input axis that output axis ``a`` reads, if the map is axis-aligned.
+
+    ``None`` unless ``inv3`` has exactly one non-zero per row and column.
+    """
+    nonzero = inv3 != 0
+    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        return nonzero.argmax(axis=0)
+    return None
+
+
+def _nearest_separable(
+    data: np.ndarray, inv: np.ndarray, perm: np.ndarray, header: VolumeHeader
+) -> np.ndarray:
+    """Nearest sampling through an axis-aligned ``inv``, one index vector per axis.
+
+    Each input coordinate depends on one output coordinate, and the zero
+    entries of ``inv`` add exact zeros in the general path's product, so
+    ``rint(inv[r, a] * world_a + inv[r, 3])`` is bit for bit its index.
+    """
+    spacing = np.diag(header.affine)[:3]
+    origin = header.affine[:3, 3]
+    out = np.zeros(header.dims, dtype=data.dtype)
+    inside, runs = [], []
+    for a, axis in enumerate(perm):
+        world = np.arange(header.dims[a], dtype=np.float64) * spacing[a] + origin[a]
+        idx = np.rint(inv[axis, a] * world + inv[axis, 3]).astype(np.int64)
+        # idx is monotonic along the axis, so its in-range entries form one run
+        hits = np.flatnonzero((idx >= 0) & (idx < data.shape[axis]))
+        if hits.size == 0:
+            return out
+        inside.append(slice(hits[0], hits[-1] + 1))
+        runs.append(idx[hits])
+    source = data.transpose(perm)
+    strides = [_as_slice(run) for run in runs]
+    # identity, flips and integer downsampling copy through strided views;
+    # np.ix_ on parsed (Fortran-ordered) volumes measured three times slower
+    if all(s is not None for s in strides):
+        out[tuple(inside)] = source[tuple(strides)]
+    else:
+        out[tuple(inside)] = source[np.ix_(*runs)]
+    return out
+
+
+def _as_slice(run: np.ndarray) -> slice | None:
+    """``run`` as a basic slice when it steps by one non-zero constant, else ``None``."""
+    step = int(run[1] - run[0]) if run.size > 1 else 1
+    if step == 0 or (np.diff(run) != step).any():
+        return None
+    stop = int(run[-1]) + step
+    return slice(int(run[0]), stop if stop >= 0 else None, step)
+
+
+def _resample_slabs(
+    data: np.ndarray, inv: np.ndarray, header: VolumeHeader, interpolation: str
+) -> np.ndarray:
+    """Map every output voxel through ``inv``, one slab of output rows at a time."""
+    nx, ny, nz = header.dims
+    spacing = np.diag(header.affine)[:3]
+    origin = header.affine[:3, 3]
+    if interpolation == "nearest":
+        out = np.zeros(header.dims, dtype=data.dtype)
+    else:
+        out = np.zeros(header.dims, dtype=np.float64)
+        values = data.astype(np.float64)
+    rows = max(1, _SLAB_VOXELS // (ny * nz))
+    for i0 in range(0, nx, rows):
+        i1 = min(nx, i0 + rows)
+        ii, jj, kk = np.meshgrid(
+            np.arange(i0, i1), np.arange(ny), np.arange(nz), indexing="ij"
+        )
+        out_idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
+        world_pts = out_idx * spacing + origin
+        src = (inv[:3, :3] @ world_pts.T).T + inv[:3, 3]
+        slab = out[i0:i1].reshape(-1)
+        if interpolation == "nearest":
+            nearest = np.rint(src).astype(np.int64)
+            valid = ((nearest >= 0) & (nearest < data.shape)).all(axis=1)
+            nv = nearest[valid]
+            slab[valid] = data[nv[:, 0], nv[:, 1], nv[:, 2]]
+        else:
+            slab[:] = _trilinear_sample(values, src)
+    return out
+
+
+def _trilinear_sample(values: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Sample float64 ``values`` at fractional voxel coordinates, zero outside."""
     base = np.floor(src).astype(np.int64)
     frac = src - base
     out = np.zeros(src.shape[0], dtype=np.float64)
@@ -480,7 +585,7 @@ def _trilinear_sample(data: np.ndarray, src: np.ndarray) -> np.ndarray:
         for axis in range(3):
             w_axis = frac[:, axis] if corner[axis] else 1.0 - frac[:, axis]
             weight = weight * w_axis
-        valid = ((idx >= 0) & (idx < data.shape)).all(axis=1)
+        valid = ((idx >= 0) & (idx < values.shape)).all(axis=1)
         contrib = np.zeros_like(out)
         iv = idx[valid]
         contrib[valid] = values[iv[:, 0], iv[:, 1], iv[:, 2]]

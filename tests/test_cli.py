@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from brainvqa.cli import main
+from brainvqa.moe import init_moe_params, save_checkpoint
 from brainvqa.qagen import record_from_json
 from brainvqa.synthetic import write_fixture
 
@@ -78,6 +80,27 @@ class TestDescribe:
         assert first[0] == "OFF"
         nv, nf, _ = map(int, first[1].split())
         assert nv > 0 and nf > 0
+
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_bad_study_lands_in_failures(self, fixture_dir, tmp_path, damage):
+        root = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, root)
+        seg = root / "studies" / "study_0001" / "seg.nii.gz"
+        raw = bytearray(seg.read_bytes())
+        if damage == "truncated":
+            raw = raw[: len(raw) // 2]
+        else:
+            raw[-8:-4] = bytes(b ^ 0xFF for b in raw[-8:-4])  # CRC32 of the stream
+        seg.write_bytes(bytes(raw))
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(root, out)) == 0
+        failures = json.loads(Path(str(out) + ".failures.json").read_text())["failures"]
+        assert [f["study_id"] for f in failures] == ["study_0001"]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert sorted({r["study_id"] for r in rows}) == ["study_0000", "study_0002"]
+        golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+        assert rows == [r for r in golden if r["study_id"] != "study_0001"]
 
 
 class TestGenerate:
@@ -212,6 +235,14 @@ class TestMoECommands:
         losses = [float(l.split(",")[1]) for l in lines[1:]]
         assert losses[-1] < losses[0]
         assert ckpt.exists()
+
+    @pytest.mark.parametrize("keep", [6, 40, -3])
+    def test_heatmap_truncated_params_exit_3(self, tmp_path, keep):
+        ckpt = tmp_path / "params.bin"
+        save_checkpoint(ckpt, init_moe_params(1, n_experts=4, n_modalities=4, d_image=16,
+                                              d_text=32))
+        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        assert main(["heatmap", "--params", str(ckpt), "--out", str(tmp_path / "h.csv")]) == 3
 
     def test_heatmap_60_prompts(self, tmp_path):
         out = tmp_path / "heat.csv"

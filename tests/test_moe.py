@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,49 @@ class TestGranularityAndUtilities:
         assert set(back.arrays) == set(params.arrays)
         for name in params.arrays:
             assert np.array_equal(back.arrays[name], params.arrays[name])
+
+    def test_checkpoint_rewrite_is_byte_identical(self, tmp_path):
+        params = randomized_params(31, n_experts=2, n_modalities=2, d_image=3, d_text=4)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(first, params, extra={"seed": 31})
+        save_checkpoint(second, load_checkpoint(first), extra={"seed": 31})
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("damage", [
+        "empty", "prefix", "manifest", "array", "trailing", "not_json", "not_utf8",
+        "missing_key", "bad_shape", "bad_granularity",
+    ])
+    def test_malformed_checkpoint_is_format_error(self, tmp_path, damage):
+        params = randomized_params(3, n_experts=2, n_modalities=2, d_image=3, d_text=4)
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        blob_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        manifest = json.loads(raw[8 : 8 + blob_len])
+
+        def with_manifest(blob: bytes) -> bytes:
+            return raw[:4] + np.uint32(len(blob)).tobytes() + blob + raw[8 + blob_len :]
+
+        if damage == "missing_key":
+            del manifest["hidden"]
+        elif damage == "bad_shape":
+            manifest["arrays"][0]["shape"] = [-1]
+        elif damage == "bad_granularity":
+            manifest["granularity"] = ["token"]
+        damaged = {
+            "empty": b"",
+            "prefix": raw[:6],
+            "manifest": raw[: 8 + blob_len // 2],
+            "array": raw[:-5],
+            "trailing": raw + b"\0",
+            "not_json": with_manifest(b"{not json"),
+            "not_utf8": with_manifest(b"\xff\xfe"),
+        }
+        if damage not in damaged:
+            damaged[damage] = with_manifest(json.dumps(manifest).encode("utf-8"))
+        path.write_bytes(damaged[damage])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_embed_text_deterministic_unit_norm(self):
         a = embed_text("How large is the lesion?", 32)

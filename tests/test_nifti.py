@@ -135,6 +135,19 @@ class TestParse:
         with pytest.raises(TruncatedFileError):
             parse_nifti(raw[:-10])
 
+    def test_truncated_gzip_stream(self):
+        data = np.arange(64, dtype=np.int16).reshape(4, 4, 4)
+        raw = gzip.compress(write_nifti(make_volume(data)))
+        for cut in (len(raw) // 2, len(raw) - 4):
+            with pytest.raises(TruncatedFileError):
+                parse_nifti(raw[:cut])
+
+    def test_corrupt_gzip_stream(self):
+        raw = bytearray(gzip.compress(write_nifti(make_volume(np.zeros((4, 4, 4), np.int16)))))
+        raw[-8:-4] = bytes(b ^ 0xFF for b in raw[-8:-4])  # CRC32 of the stream
+        with pytest.raises(FormatError):
+            parse_nifti(bytes(raw))
+
     def test_quaternion_affine_fallback(self):
         raw = bytearray(write_nifti(make_volume(np.zeros((2, 2, 2), dtype=np.uint8))))
         struct.pack_into("<h", raw, 254, 0)  # sform off

@@ -92,6 +92,35 @@ def _stanza(command: str, args: argparse.Namespace) -> str:
     return f"# brainvqa v{__version__} | command={command} | seed={seed} | config_hash={digest}"
 
 
+def _read_jsonl(path, parse) -> list:
+    """``parse`` applied to every non-blank line of a UTF-8 JSONL file.
+
+    A line that is not UTF-8 JSON, lacks a key, or holds a value ``parse``
+    rejects (``TypeError``, ``ValueError``) raises FormatError naming the file
+    and line.
+    """
+    items = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    items.append(parse(line))
+            except KeyError as exc:
+                raise FormatError(f"{path}:{lineno}: missing key {exc}") from None
+            except (ValueError, TypeError, AttributeError, RecursionError) as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    return items
+
+
+def _prediction_from_json(line: str) -> PredictionRecord:
+    d = json.loads(line)
+    return PredictionRecord(
+        id=d["id"], volume=d.get("volume"), regions=d.get("regions"),
+        shape=d.get("shape"), spread=d.get("spread"), oos=d.get("oos"),
+    )
+
+
 def _load_labels_config(path) -> dict[int, str]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -205,8 +234,7 @@ def cmd_generate(args) -> int:
     if not args.descriptors and not args.data_dir:
         raise ConfigError("provide --descriptors or --data-dir")
     if args.descriptors:  # precomputed descriptors win over a data dir default
-        with open(args.descriptors, "r", encoding="utf-8") as fh:
-            descriptors = [descriptor_from_json(line) for line in fh if line.strip()]
+        descriptors = _read_jsonl(args.descriptors, descriptor_from_json)
         if not descriptors:
             raise FormatError(f"{args.descriptors} holds no descriptors")
         failures = []
@@ -222,8 +250,7 @@ def cmd_generate(args) -> int:
 
 def cmd_stats(args) -> int:
     print(_stanza("stats", args))
-    with open(args.input, "r", encoding="utf-8") as fh:
-        records = [record_from_json(line) for line in fh if line.strip()]
+    records = _read_jsonl(args.input, record_from_json)
     stats = dataset_stats(records)
     atomic_write(args.out, stats_to_csv(stats))
     print(json.dumps(stats.summary, indent=2, sort_keys=True))
@@ -236,8 +263,7 @@ def cmd_split(args) -> int:
     if bool(args.descriptors) == bool(args.studies):
         raise ConfigError("provide exactly one of --descriptors or --studies")
     if args.descriptors:
-        with open(args.descriptors, "r", encoding="utf-8") as fh:
-            ids = sorted({descriptor_from_json(l).study_id for l in fh if l.strip()})
+        ids = sorted({d.study_id for d in _read_jsonl(args.descriptors, descriptor_from_json)})
     else:
         with open(args.studies, "r", encoding="utf-8") as fh:
             ids = sorted({line.strip() for line in fh if line.strip()})
@@ -250,8 +276,7 @@ def cmd_split(args) -> int:
 
 
 def _kappa_section(gold_records, other_path) -> dict[str, float]:
-    with open(other_path, "r", encoding="utf-8") as fh:
-        other = {r.id: r for r in (record_from_json(l) for l in fh if l.strip())}
+    other = {r.id: r for r in _read_jsonl(other_path, record_from_json)}
     section = {}
     values = []
     for task in TASKS:
@@ -276,18 +301,8 @@ def _kappa_section(gold_records, other_path) -> dict[str, float]:
 
 def cmd_eval(args) -> int:
     print(_stanza("eval", args))
-    with open(args.gold, "r", encoding="utf-8") as fh:
-        gold = [record_from_json(line) for line in fh if line.strip()]
-    with open(args.pred, "r", encoding="utf-8") as fh:
-        preds = []
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            preds.append(PredictionRecord(
-                id=d["id"], volume=d.get("volume"), regions=d.get("regions"),
-                shape=d.get("shape"), spread=d.get("spread"), oos=d.get("oos"),
-            ))
+    gold = _read_jsonl(args.gold, record_from_json)
+    preds = _read_jsonl(args.pred, _prediction_from_json)
     report = evaluate_predictions(gold, preds, seed=args.seed, resamples=args.resamples)
     if args.kappa:
         report.kappa = _kappa_section(gold, args.kappa)

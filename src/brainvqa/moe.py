@@ -92,27 +92,37 @@ def init_moe_params(
     cfg = MoEConfig(n_experts, n_modalities, d_image, d_text, hidden, granularity)
     rng = stream(seed, "moe-init")
     arrays: dict[str, np.ndarray] = {}
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    arrays["high.W1"] = uniform((hidden, d_text), d_text)
-    arrays["high.b1"] = np.zeros(hidden)
-    arrays["high.W2"] = uniform((n_experts, hidden), hidden)
-    arrays["high.b2"] = np.zeros(n_experts)
-    d_cat = n_modalities * d_image
-    for n in range(n_experts):
-        p = f"expert{n}"
-        arrays[f"{p}.low.W1"] = uniform((hidden, d_cat), d_cat)
-        arrays[f"{p}.low.b1"] = np.zeros(hidden)
-        arrays[f"{p}.low.W2"] = uniform((n_modalities, hidden), hidden)
-        arrays[f"{p}.low.b2"] = np.zeros(n_modalities)
-        arrays[f"{p}.Wm"] = uniform((n_modalities, d_text, d_image), d_image)
-        arrays[f"{p}.bm"] = np.zeros((n_modalities, d_text))
-        arrays[f"{p}.Ws"] = uniform((d_text, d_image), d_image)
-        arrays[f"{p}.bs"] = np.zeros(d_text)
+    for name, shape in _param_layout(cfg):
+        if name.rsplit(".", 1)[1].startswith("b"):  # biases b*, weights W*
+            arrays[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[-1])  # fan-in is the last axis
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
     return MoEParams(cfg, arrays)
+
+
+def _param_layout(cfg: MoEConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter array, in initialization order."""
+    hidden, n_mod, d_image, d_text = cfg.hidden, cfg.n_modalities, cfg.d_image, cfg.d_text
+    layout = [
+        ("high.W1", (hidden, d_text)),
+        ("high.b1", (hidden,)),
+        ("high.W2", (cfg.n_experts, hidden)),
+        ("high.b2", (cfg.n_experts,)),
+    ]
+    for n in range(cfg.n_experts):
+        p = f"expert{n}"
+        layout += [
+            (f"{p}.low.W1", (hidden, n_mod * d_image)),
+            (f"{p}.low.b1", (hidden,)),
+            (f"{p}.low.W2", (n_mod, hidden)),
+            (f"{p}.low.b2", (n_mod,)),
+            (f"{p}.Wm", (n_mod, d_text, d_image)),
+            (f"{p}.bm", (n_mod, d_text)),
+            (f"{p}.Ws", (d_text, d_image)),
+            (f"{p}.bs", (d_text,)),
+        ]
+    return layout
 
 
 def spatial_pool(tokens: np.ndarray, factor: int) -> np.ndarray:
@@ -456,4 +466,6 @@ def _manifest_layout(manifest) -> tuple[MoEConfig, list[tuple[str, tuple[int, ..
         cfg = MoEConfig(**{k: manifest[k] for k in ints}, granularity=tuple(tags))
     except ConfigError as exc:
         raise FormatError(f"checkpoint manifest: {exc}") from None
+    if sorted(entries) != sorted(_param_layout(cfg)):
+        raise FormatError("checkpoint array names or shapes do not match its config")
     return cfg, entries

@@ -4,6 +4,12 @@ Connectivity is hard-fixed at 26 (full 3x3x3 neighborhood).  Components are
 numbered by decreasing voxel count, ties broken by the lowest first-voxel
 linear index (first axis fastest), so the core component is always index 0
 and outputs are deterministic.
+
+Labeling is array code over the foreground only: voxels get a dense index
+inside their bounding box padded by one voxel, the 13 half-neighborhood
+offsets list every adjacent voxel pair once, and the larger root of each
+disagreeing pair is hooked onto the smaller (``np.minimum.at``) with pointer
+jumping in between until every pair agrees (Shiloach & Vishkin 1982).
 """
 from __future__ import annotations
 
@@ -73,24 +79,6 @@ class SpreadDescriptor:
     n_components: int
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def connected_components(
     mask: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> ComponentLabeling:
@@ -102,47 +90,54 @@ def connected_components(
     mask = np.asarray(mask)
     if mask.ndim != 3:
         raise ValueError(f"mask must be 3D, got shape {mask.shape}")
-    fg = mask != 0
     dv = float(spacing[0] * spacing[1] * spacing[2])
-    coords = np.argwhere(fg)
+    coords = np.argwhere(mask != 0)
     labeling = np.zeros(mask.shape, dtype=np.int32)
-    if coords.shape[0] == 0:
+    n = coords.shape[0]
+    if n == 0:
         return ComponentLabeling(labeling, [], [], [], dv)
 
-    # Map voxel -> dense index for the union-find array.
-    index = np.full(mask.shape, -1, dtype=np.int64)
-    index[fg] = np.arange(coords.shape[0])
-    uf = _UnionFind(coords.shape[0])
-    dims = mask.shape
-    for off in _HALF_OFFSETS:
-        shifted = coords + off
-        valid = np.ones(coords.shape[0], dtype=bool)
-        for axis in range(3):
-            valid &= (shifted[:, axis] >= 0) & (shifted[:, axis] < dims[axis])
-        src = index[fg][valid]
-        neigh = index[shifted[valid, 0], shifted[valid, 1], shifted[valid, 2]]
-        hit = neigh >= 0
-        for a, b in zip(src[hit], neigh[hit]):
-            uf.union(int(a), int(b))
+    # Dense voxel index over the foreground bounding box padded by one voxel,
+    # so every neighbor lookup stays inside the box; -1 marks background.
+    lo = coords.min(axis=0) - 1
+    box = tuple(coords.max(axis=0) - lo + 2)
+    flat = np.ravel_multi_index((coords - lo).T, box)
+    index = np.full(int(np.prod(box)), -1, dtype=np.int64)
+    index[flat] = np.arange(n)
+    steps = np.array(_HALF_OFFSETS) @ (box[1] * box[2], box[2], 1)
+    neigh = index[flat + steps[:, None]]  # (13, n)
+    hit = neigh >= 0
+    a, b = np.nonzero(hit)[1], neigh[hit]
 
-    roots = np.array([uf.find(i) for i in range(coords.shape[0])])
+    # Hook the larger root of every disagreeing edge onto the smaller one,
+    # then jump pointers until each voxel points at its root.  Labels only
+    # ever decrease, so each component ends labeled by its lowest index.
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            break
+        a, b, la, lb = a[differ], b[differ], la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(up := label[label], label):
+            label = up
+
     # Deterministic ordering: decreasing size, ties by lowest first-voxel
     # linear index (first axis fastest, matching the volume layout).
-    linear = np.ravel_multi_index((coords[:, 0], coords[:, 1], coords[:, 2]), dims, order="F")
-    order_keys = {}
-    for root in np.unique(roots):
-        members = roots == root
-        order_keys[root] = (-int(members.sum()), int(linear[members].min()))
-    ordered_roots = sorted(order_keys, key=order_keys.get)
+    _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    linear = np.ravel_multi_index(coords.T, mask.shape, order="F")
+    first = np.full(sizes.size, linear.max())
+    np.minimum.at(first, comp, linear)
+    order = np.lexsort((first, -sizes))
+    new_id = np.argsort(order)[comp]
+    labeling[tuple(coords.T)] = new_id + 1
 
-    voxels, volumes, coord_lists = [], [], []
-    for new_id, root in enumerate(ordered_roots, start=1):
-        members = coords[roots == root]
-        labeling[members[:, 0], members[:, 1], members[:, 2]] = new_id
-        voxels.append(members.shape[0])
-        volumes.append(members.shape[0] * dv)
-        coord_lists.append(members)
-    return ComponentLabeling(labeling, voxels, volumes, coord_lists, dv)
+    sizes = sizes[order]
+    members = coords[np.argsort(new_id, kind="stable")]
+    coord_lists = np.split(members, np.cumsum(sizes)[:-1])
+    voxels = sizes.tolist()
+    return ComponentLabeling(labeling, voxels, [v * dv for v in voxels], coord_lists, dv)
 
 
 def spread_classify(labeling: ComponentLabeling) -> SpreadDescriptor:

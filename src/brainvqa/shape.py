@@ -45,6 +45,18 @@ class ShapeMetrics:
     solidity: float
 
 
+def _covariance(coords: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Biased covariance of the world voxel centers, in mm^2."""
+    world = coords * spacing
+    centered = world - world.mean(axis=0)
+    return centered.T @ centered / coords.shape[0]
+
+
+def _descending_eigenvalues(cov: np.ndarray) -> tuple[float, float, float]:
+    eig = np.clip(np.linalg.eigvalsh(cov), 0.0, None)[::-1]
+    return (float(eig[0]), float(eig[1]), float(eig[2]))
+
+
 def pca_axes(
     coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> tuple[float, float, float]:
@@ -55,12 +67,7 @@ def pca_axes(
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
     if coords.shape[0] < 1:
         raise GeometryError("pca_axes needs at least one voxel")
-    world = coords * np.asarray(spacing, dtype=np.float64)
-    centered = world - world.mean(axis=0)
-    cov = centered.T @ centered / coords.shape[0]
-    eig = np.linalg.eigvalsh(cov)
-    eig = np.clip(eig, 0.0, None)[::-1]
-    return (float(eig[0]), float(eig[1]), float(eig[2]))
+    return _descending_eigenvalues(_covariance(coords, np.asarray(spacing, dtype=np.float64)))
 
 
 def _regularized_axes(
@@ -74,12 +81,7 @@ def _regularized_axes(
     """
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
     spacing = np.asarray(spacing, dtype=np.float64)
-    world = coords * spacing
-    centered = world - world.mean(axis=0)
-    cov = centered.T @ centered / coords.shape[0]
-    cov += np.diag(spacing**2 / 12.0)
-    eig = np.clip(np.linalg.eigvalsh(cov), 0.0, None)[::-1]
-    return (float(eig[0]), float(eig[1]), float(eig[2]))
+    return _descending_eigenvalues(_covariance(coords, spacing) + np.diag(spacing**2 / 12.0))
 
 
 def shape_metrics(

@@ -2,7 +2,10 @@
 
 Marching cubes runs at iso-level 0.5 on a one-voxel zero-padded copy of the
 mask with linear edge interpolation, so meshes are closed by construction;
-vertex positions are scaled by the voxel spacing into millimeters.
+vertex positions are scaled by the voxel spacing into millimeters.  The
+triangles of all active cells are gathered from the case table at once; each
+triangle corner is keyed by the grid edge it lies on (lower corner, axis), and
+``np.unique`` welds equal keys into one vertex, numbered in order of first use.
 """
 from __future__ import annotations
 
@@ -35,13 +38,14 @@ EDGE_CORNERS = [
     (0, 4), (1, 5), (2, 6), (3, 7),
 ]
 
-# Global identity of a cell edge: (corner offset of the lower endpoint, axis
-# along which the edge runs).  Used to weld vertices shared between cells.
-_EDGE_GLOBAL = []
-for _a, _b in EDGE_CORNERS:
-    _lo = np.minimum(CORNER_OFFSETS[_a], CORNER_OFFSETS[_b])
-    _axis = int(np.argmax(CORNER_OFFSETS[_a] != CORNER_OFFSETS[_b]))
-    _EDGE_GLOBAL.append((_lo, _axis))
+# Each edge as (corner offset of its lower endpoint, axis it runs along): the
+# key that welds the vertex a grid edge carries across the cells sharing it.
+_EDGE_ENDS = CORNER_OFFSETS[np.array(EDGE_CORNERS)]  # (12, 2, 3)
+_EDGE_LO = _EDGE_ENDS.min(axis=1)
+_EDGE_AXIS = np.argmax(_EDGE_ENDS[:, 0] != _EDGE_ENDS[:, 1], axis=1)
+
+# Up to five edge-index triangles per case; rows of -1 pad the unused slots.
+_CASE_TRIANGLES = np.array(TRI_TABLE, dtype=np.int64)[:, :15].reshape(256, 5, 3)
 
 ISO_LEVEL = 0.5
 
@@ -102,39 +106,27 @@ def marching_cubes(
         case |= below.astype(np.int32) << bit
 
     active = np.argwhere((case != 0) & (case != 255))
-    spacing = np.asarray(spacing, dtype=np.float64)
+    tris = _CASE_TRIANGLES[case[tuple(active.T)]]  # (cells, 5, 3)
+    used = tris[:, :, 0] >= 0
+    edges = tris[used].ravel()  # triangle corners in cell, triangle, corner order
+    base = active[np.repeat(np.nonzero(used)[0], 3)] + _EDGE_LO[edges]
+    axis = _EDGE_AXIS[edges]
 
-    vertex_ids: dict[tuple[int, int, int, int], int] = {}
-    vertices: list[np.ndarray] = []
-    triangles: list[tuple[int, int, int]] = []
+    # One vertex per crossed grid edge, numbered in order of first use.
+    key = np.ravel_multi_index(tuple(base.T), grid.shape) * 3 + axis
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    triangles = np.argsort(order)[inverse].reshape(-1, 3)
 
-    def edge_vertex(cell: np.ndarray, edge: int) -> int:
-        lo, axis = _EDGE_GLOBAL[edge]
-        base = cell + lo
-        key = (int(base[0]), int(base[1]), int(base[2]), axis)
-        vid = vertex_ids.get(key)
-        if vid is not None:
-            return vid
-        v0 = grid[base[0], base[1], base[2]]
-        p1 = base.copy()
-        p1[axis] += 1
-        v1 = grid[p1[0], p1[1], p1[2]]
-        mu = (ISO_LEVEL - v0) / (v1 - v0)
-        pos = base.astype(np.float64)
-        pos[axis] += mu
-        vertices.append((pos - 1.0) * spacing)  # undo the one-voxel pad
-        vid = len(vertices) - 1
-        vertex_ids[key] = vid
-        return vid
+    base = base[first[order]]
+    unit = np.eye(3, dtype=np.int64)[axis[first[order]]]
+    v0 = grid[tuple(base.T)]
+    v1 = grid[tuple((base + unit).T)]
+    mu = (ISO_LEVEL - v0) / (v1 - v0)
+    # Undo the one-voxel pad and scale to millimeters.
+    vertices = (base + mu[:, None] * unit - 1.0) * np.asarray(spacing, dtype=np.float64)
 
-    for cell in active:
-        c = int(case[cell[0], cell[1], cell[2]])
-        for ea, eb, ec in cell_triangles(c):
-            triangles.append(
-                (edge_vertex(cell, ea), edge_vertex(cell, eb), edge_vertex(cell, ec))
-            )
-
-    mesh = SurfaceMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+    mesh = SurfaceMesh(vertices, triangles)
     areas = triangle_areas(mesh)
     if areas.size and areas.min() <= 0.0:
         raise GeometryError("marching cubes produced a degenerate triangle")

@@ -4,10 +4,11 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from brainvqa.cli import main
-from brainvqa.moe import init_moe_params, save_checkpoint
+from brainvqa.moe import MoEParams, init_moe_params, save_checkpoint
 from brainvqa.qagen import record_from_json
 from brainvqa.synthetic import write_fixture
 
@@ -244,6 +245,14 @@ class TestMoECommands:
         ckpt.write_bytes(ckpt.read_bytes()[:keep])
         assert main(["heatmap", "--params", str(ckpt), "--out", str(tmp_path / "h.csv")]) == 3
 
+    def test_heatmap_mismatched_params_exit_3(self, tmp_path, capsys):
+        params = init_moe_params(1, n_experts=4, n_modalities=4, d_image=16, d_text=32)
+        arrays = dict(params.arrays, **{n: np.ones(1) for n in params.arrays if n.startswith("high.")})
+        ckpt = tmp_path / "params.bin"
+        save_checkpoint(ckpt, MoEParams(params.config, arrays))
+        assert main(["heatmap", "--params", str(ckpt), "--out", str(tmp_path / "h.csv")]) == 3
+        assert "do not match its config" in capsys.readouterr().err
+
     def test_heatmap_60_prompts(self, tmp_path):
         out = tmp_path / "heat.csv"
         assert main(["heatmap", "--seed", "1", "--out", str(out)]) == 0
@@ -253,3 +262,64 @@ class TestMoECommands:
         assert len(header) == 61
         first_row = lines[1].split(",")
         assert float(first_row[1]) == 1.0  # unit diagonal
+
+
+class TestMalformedJsonl:
+    """Every JSONL reader ends a bad line in exit 3 naming the file and line."""
+
+    @pytest.fixture()
+    def dataset(self, tmp_path) -> Path:
+        out = tmp_path / "data.jsonl"
+        main(["generate", "--descriptors", str(GOLDEN), "--seed", "5", "--out", str(out)])
+        return out
+
+    @staticmethod
+    def damaged(path: Path, tmp_path: Path, line: str) -> Path:
+        lines = path.read_text().splitlines()
+        lines.insert(2, line)
+        out = tmp_path / f"bad_{path.name}"
+        out.write_text("\n".join(lines) + "\n")
+        return out
+
+    @staticmethod
+    def without(path: Path, key: str) -> str:
+        row = json.loads(path.read_text().splitlines()[0])
+        del row[key]
+        return json.dumps(row)
+
+    def assert_exit_3_at_line_3(self, argv, bad: Path, capsys):
+        assert main(argv) == 3
+        assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_generate_descriptor_without_label_name(self, tmp_path, capsys):
+        bad = self.damaged(GOLDEN, tmp_path, self.without(GOLDEN, "label_name"))
+        self.assert_exit_3_at_line_3(["generate", "--descriptors", str(bad), "--seed", "1",
+                                      "--out", str(tmp_path / "o.jsonl")], bad, capsys)
+
+    def test_stats_line_not_json(self, dataset, tmp_path, capsys):
+        bad = self.damaged(dataset, tmp_path, "{not json")
+        self.assert_exit_3_at_line_3(["stats", "--in", str(bad), "--out", str(tmp_path / "f.csv")],
+                                     bad, capsys)
+
+    def test_split_descriptor_without_study_id(self, tmp_path, capsys):
+        bad = self.damaged(GOLDEN, tmp_path, self.without(GOLDEN, "study_id"))
+        self.assert_exit_3_at_line_3(["split", "--seed", "1", "--descriptors", str(bad),
+                                      "--out", str(tmp_path / "s.json")], bad, capsys)
+
+    def test_eval_gold_record_without_study_id(self, dataset, tmp_path, capsys):
+        bad = self.damaged(dataset, tmp_path, self.without(dataset, "study_id"))
+        self.assert_exit_3_at_line_3(["eval", "--gold", str(bad), "--pred", str(dataset),
+                                      "--out", str(tmp_path / "r.json")], bad, capsys)
+
+    def test_eval_prediction_not_an_object(self, dataset, tmp_path, capsys):
+        bad = self.damaged(dataset, tmp_path, "[1, 2]")
+        self.assert_exit_3_at_line_3(["eval", "--gold", str(dataset), "--pred", str(bad),
+                                      "--out", str(tmp_path / "r.json")], bad, capsys)
+
+    def test_eval_kappa_line_not_utf8(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "kappa.jsonl"
+        lines = dataset.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:2]) + b"\xff\xfe\n" + b"".join(lines[2:]))
+        self.assert_exit_3_at_line_3(["eval", "--gold", str(dataset), "--pred", str(dataset),
+                                      "--out", str(tmp_path / "r.json"), "--kappa", str(bad),
+                                      "--resamples", "5"], bad, capsys)

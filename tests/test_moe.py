@@ -8,6 +8,7 @@ import pytest
 from brainvqa.errors import FormatError
 from brainvqa.moe import (
     MODALITY_LEVEL,
+    MoEParams,
     TOKEN_LEVEL,
     default_granularity,
     embed_text,
@@ -344,6 +345,37 @@ class TestGranularityAndUtilities:
             damaged[damage] = with_manifest(json.dumps(manifest).encode("utf-8"))
         path.write_bytes(damaged[damage])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", ["shape", "rename", "drop", "extra"])
+    def test_checkpoint_layout_must_match_config(self, tmp_path, change):
+        params = randomized_params(5, n_experts=2, n_modalities=2, d_image=3, d_text=4)
+        arrays = dict(params.arrays)
+        if change == "shape":
+            for name in ("high.W1", "high.b1", "high.W2", "high.b2"):
+                arrays[name] = np.ones(1)
+        elif change == "rename":
+            arrays["expert9.Ws"] = arrays.pop("expert1.Ws")
+        elif change == "drop":
+            del arrays["expert0.bm"]
+        else:
+            arrays["expert2.bs"] = np.zeros(4)
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, MoEParams(params.config, arrays))
+        with pytest.raises(FormatError, match="do not match its config"):
+            load_checkpoint(path)
+
+    def test_checkpoint_layout_checked_before_payload(self, tmp_path):
+        params = init_moe_params(0, n_experts=1, n_modalities=1, d_image=2, d_text=4)
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        blob_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        manifest = json.loads(raw[8 : 8 + blob_len])
+        manifest["arrays"][0]["shape"] = [10**15, 10**15]  # no payload could hold it
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(raw[:4] + np.uint32(len(blob)).tobytes() + blob)
+        with pytest.raises(FormatError, match="do not match its config"):
             load_checkpoint(path)
 
     def test_embed_text_deterministic_unit_norm(self):

@@ -12,13 +12,12 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fileio
 from .errors import (
     BrainVQAError,
     ConfigError,
@@ -61,7 +60,7 @@ from .regions import Atlas, DEFAULT_MIN_OVERLAP_VOXELS, load_region_map
 from .rng import stream
 from .surface import marching_cubes, write_off
 from .templates import TASKS, UNSPECIFIED, default_bank, load_bank
-from .training import evaluate, make_toy_task, model_loss_and_grads, smoothed, train_toy
+from .training import evaluate, finite_difference_errors, make_toy_task, smoothed, train_toy
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -72,17 +71,13 @@ GLI_LABEL_NAMES = ("Enhancing Tissue", "Non-enhancing Tumor Core",
 
 
 def atomic_write(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write one CLI output file atomically.
+
+    The CLI's outputs go through this function of its own, not straight to
+    :func:`fileio.atomic_write`, so that per-layer traces (``perfbench``)
+    attribute them to the ``cli`` layer.
+    """
+    fileio.atomic_write(path, text)
 
 
 def _stanza(command: str, args: argparse.Namespace) -> str:
@@ -362,26 +357,11 @@ def cmd_moe_check(args) -> int:
     task = make_toy_task(seed=args.seed, n_train=5, n_val=2, n_positions=3,
                          n_modalities=2, d_image=41, d_text=41, n_experts=2,
                          hidden=4, noise=0.05)
-    _, _, grads = model_loss_and_grads(task.model, task.train)
-    eps = 1e-5
-    worst_grad = 0.0
     check_rng = stream(args.seed, "moe-check-fd")
-    for name, arr in task.model.all_arrays().items():
-        size = arr.size
-        picks = check_rng.choice(size, size=min(8, size), replace=False)
-        group_worst = 0.0
-        for flat in picks:
-            idx = np.unravel_index(int(flat), arr.shape)
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            lp, _, _ = model_loss_and_grads(task.model, task.train)
-            arr[idx] = orig - eps
-            lm, _, _ = model_loss_and_grads(task.model, task.train)
-            arr[idx] = orig
-            fd = (lp - lm) / (2 * eps)
-            denom = max(abs(fd), abs(grads[name][idx]), 1e-8)
-            group_worst = max(group_worst, abs(fd - grads[name][idx]) / denom)
-        worst_grad = max(worst_grad, group_worst)
+    picks = {name: check_rng.choice(arr.size, size=min(8, arr.size), replace=False)
+             for name, arr in task.model.all_arrays().items()}
+    errors = finite_difference_errors(task.model, task.train, picks)
+    worst_grad = float(np.max(list(errors.values())))  # NaN-propagating, unlike max()
     rows.append(("gradient vs finite differences (max rel)", worst_grad, 1e-4))
 
     comparison = token_count_comparison(8, 4)

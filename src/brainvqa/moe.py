@@ -12,8 +12,14 @@ branch can collapse).  Modality-level experts route from the concatenated
 [CLS] tokens; token-level experts apply one router position-wise and so emit
 a weight per (modality, position).
 
-Everything is explicit numpy with hand-derived gradients; ``moe_backward``
-returns gradients for every parameter and both inputs, verified against
+The batched forward and backward stack each expert parameter kind along an
+expert axis per call and run all experts at once: token-level experts route
+from each position's tokens, modality-level ones from the [CLS] tokens
+broadcast over positions, and the gates and both projections are a few
+matmuls over the stack.  Parameters stay stored as ``expert{n}.*`` arrays.
+
+Everything is explicit numpy with hand-derived gradients; ``moe_backward_batch``
+returns gradients for every parameter and all inputs, verified against
 central finite differences in the test suite.  All math is float64.
 """
 from __future__ import annotations
@@ -27,12 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError, TruncatedFileError
+from .fileio import atomic_write
 from .rng import stream
 
 MODALITY_LEVEL = "modality"
 TOKEN_LEVEL = "token"
 
 DEFAULT_N_EXPERTS = 16
+
+_SIZES = ("n_experts", "n_modalities", "d_image", "d_text", "hidden")
+
+# Per-expert parameter kinds; expert n's arrays are named ``expert{n}.{kind}``.
+_EXPERT_KINDS = ("low.W1", "low.b1", "low.W2", "low.b2", "Wm", "bm", "Ws", "bs")
 
 
 @dataclass
@@ -45,6 +57,9 @@ class MoEConfig:
     granularity: tuple[str, ...]
 
     def __post_init__(self):
+        small = [name for name in _SIZES if getattr(self, name) < 1]
+        if small:
+            raise ConfigError(f"MoE sizes {small} must be at least 1")
         if len(self.granularity) != self.n_experts:
             raise ConfigError("granularity tags must match the expert count")
         bad = set(self.granularity) - {MODALITY_LEVEL, TOKEN_LEVEL}
@@ -104,6 +119,10 @@ def init_moe_params(
 def _param_layout(cfg: MoEConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter array, in initialization order."""
     hidden, n_mod, d_image, d_text = cfg.hidden, cfg.n_modalities, cfg.d_image, cfg.d_text
+    expert_shapes = (
+        (hidden, n_mod * d_image), (hidden,), (n_mod, hidden), (n_mod,),  # low.W1 .. low.b2
+        (n_mod, d_text, d_image), (n_mod, d_text), (d_text, d_image), (d_text,),  # Wm .. bs
+    )
     layout = [
         ("high.W1", (hidden, d_text)),
         ("high.b1", (hidden,)),
@@ -111,17 +130,7 @@ def _param_layout(cfg: MoEConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("high.b2", (cfg.n_experts,)),
     ]
     for n in range(cfg.n_experts):
-        p = f"expert{n}"
-        layout += [
-            (f"{p}.low.W1", (hidden, n_mod * d_image)),
-            (f"{p}.low.b1", (hidden,)),
-            (f"{p}.low.W2", (n_mod, hidden)),
-            (f"{p}.low.b2", (n_mod,)),
-            (f"{p}.Wm", (n_mod, d_text, d_image)),
-            (f"{p}.bm", (n_mod, d_text)),
-            (f"{p}.Ws", (d_text, d_image)),
-            (f"{p}.bs", (d_text,)),
-        ]
+        layout += [(f"expert{n}.{k}", shape) for k, shape in zip(_EXPERT_KINDS, expert_shapes)]
     return layout
 
 
@@ -150,8 +159,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched forward / backward.  Shapes: v (B, N_I, N_m, d_I), cls (B, N_m, d_I),
-# t (B, d_T); fused output (B, N_I, d_T).
+# Batched forward / backward over all experts at once.  Shapes: v (B, N_I, N_m,
+# d_I), cls (B, N_m, d_I), t (B, d_T); fused output (B, N_I, d_T); R = B*N_I.
+
+def _stacked(params: MoEParams) -> dict[str, np.ndarray]:
+    """Each expert parameter kind stacked along a leading expert axis."""
+    A = params.arrays
+    experts = range(params.config.n_experts)
+    return {kind: np.stack([A[f"expert{n}.{kind}"] for n in experts]) for kind in _EXPERT_KINDS}
+
 
 def moe_forward_batch(
     v: np.ndarray, cls: np.ndarray, t: np.ndarray, params: MoEParams
@@ -161,46 +177,46 @@ def moe_forward_batch(
     v = np.asarray(v, dtype=np.float64)
     cls = np.asarray(cls, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    B, n_i, n_m, d_i = v.shape
-    if n_m != cfg.n_modalities or d_i != cfg.d_image or t.shape != (B, cfg.d_text):
+    if (v.ndim != 4 or v.shape[1] < 1 or v.shape[2:] != (cfg.n_modalities, cfg.d_image)
+            or cls.shape != (v.shape[0], cfg.n_modalities, cfg.d_image)
+            or t.shape != (v.shape[0], cfg.d_text)):
         raise FormatError(
-            f"shape mismatch: v {v.shape}, t {t.shape} vs config "
+            f"shape mismatch: v {v.shape}, cls {cls.shape}, t {t.shape} vs config "
             f"(N_m={cfg.n_modalities}, d_I={cfg.d_image}, d_T={cfg.d_text})"
         )
+    B, n_i, n_m, d_i = v.shape
+    N, R, T, H = cfg.n_experts, B * n_i, cfg.d_text, cfg.hidden
 
-    h_pre = t @ A["high.W1"].T + A["high.b1"]
-    h_act = np.tanh(h_pre)
-    logits = h_act @ A["high.W2"].T + A["high.b2"]
-    pi_high = softmax(logits, axis=1)  # (B, N)
+    h_act = np.tanh(t @ A["high.W1"].T + A["high.b1"])
+    pi_high = softmax(h_act @ A["high.W2"].T + A["high.b2"], axis=1)  # (B, N)
 
-    e = np.zeros((B, n_i, cfg.d_text))
-    expert_cache = []
-    for n in range(cfg.n_experts):
-        p = f"expert{n}"
-        if cfg.granularity[n] == MODALITY_LEVEL:
-            x = cls.reshape(B, n_m * d_i)
-            z_act = np.tanh(x @ A[f"{p}.low.W1"].T + A[f"{p}.low.b1"])  # (B, h)
-            gate_logits = z_act @ A[f"{p}.low.W2"].T + A[f"{p}.low.b2"]  # (B, N_m)
-            pi = sigmoid(gate_logits)
-            gate = pi[:, None, :]  # broadcast over positions
-        else:
-            x = v.reshape(B, n_i, n_m * d_i)
-            z_act = np.tanh(x @ A[f"{p}.low.W1"].T + A[f"{p}.low.b1"])  # (B, N_I, h)
-            gate_logits = z_act @ A[f"{p}.low.W2"].T + A[f"{p}.low.b2"]  # (B, N_I, N_m)
-            pi = sigmoid(gate_logits)
-            gate = pi
-        spec = np.einsum("bimd,mtd->bimt", v, A[f"{p}.Wm"]) + A[f"{p}.bm"][None, None]
-        shared = np.einsum("bimd,td->bimt", v, A[f"{p}.Ws"]) + A[f"{p}.bs"]
-        mix = gate[..., None] * spec + (1.0 - gate)[..., None] * shared
-        expert_out = mix.sum(axis=2)  # (B, N_I, d_T)
-        e += pi_high[:, n, None, None] * expert_out
-        expert_cache.append(
-            {"x": x, "z_act": z_act, "pi": pi, "gate": gate, "spec": spec,
-             "shared": shared, "expert_out": expert_out}
-        )
+    S = _stacked(params)
+    # Token-level experts route from each position's tokens, modality-level ones
+    # from the [CLS] tokens; choosing per expert column of the first layer's
+    # output (R, N*H) builds no per-expert copy of the router input.
+    token_cols = np.repeat([g == TOKEN_LEVEL for g in cfg.granularity], H)
+    W1 = S["low.W1"].reshape(N * H, n_m * d_i)
+    x_tok, x_cls = v.reshape(R, n_m * d_i), cls.reshape(B, n_m * d_i)
+    pre = np.where(token_cols, x_tok @ W1.T, np.repeat(x_cls @ W1.T, n_i, axis=0))
+    z_act = np.tanh(pre + S["low.b1"].reshape(N * H)).reshape(R, N, H).transpose(1, 0, 2)
+    gate = sigmoid(z_act @ S["low.W2"].transpose(0, 2, 1) + S["low.b2"][:, None])  # (N, R, N_m)
+
+    vt = np.ascontiguousarray(v.reshape(R, n_m, d_i).transpose(1, 0, 2))  # (N_m, R, d_I)
+    Wm = S["Wm"].transpose(1, 0, 2, 3).reshape(n_m, N * T, d_i)
+    Ws = S["Ws"].reshape(N * T, d_i)
+    spec = vt @ Wm.transpose(0, 2, 1) + S["bm"].transpose(1, 0, 2).reshape(n_m, 1, N * T)
+    shared = vt @ Ws.T + S["bs"].reshape(N * T)  # (N_m, R, N*d_T)
+    diff = np.subtract(spec, shared, out=spec).reshape(n_m, R, N, T)
+    mix = shared.reshape(n_m, R, N, T)
+    mix += gate.transpose(2, 1, 0)[..., None] * diff  # shared + pi * (specific - shared)
+    expert_out = mix.sum(axis=0)  # (R, N, d_T)
+    pi_rows = np.repeat(pi_high, n_i, axis=0)  # (R, N)
+    e = (pi_rows[:, :, None] * expert_out).sum(axis=1).reshape(B, n_i, T)
     cache = {
-        "v": v, "cls": cls, "t": t, "h_act": h_act, "pi_high": pi_high,
-        "experts": expert_cache, "params": params,
+        "v": v, "cls": cls, "t": t, "h_act": h_act, "pi_high": pi_high, "pi_rows": pi_rows,
+        "token_cols": token_cols, "z_act": z_act, "gate": gate.reshape(N, B, n_i, n_m),
+        "vt": vt, "Wm": Wm, "Ws": Ws, "diff": diff, "expert_out": expert_out,
+        "stacked": S, "params": params,
     }
     return e, cache
 
@@ -208,65 +224,54 @@ def moe_forward_batch(
 def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[dict[str, np.ndarray], dict]:
     """Gradients of a scalar loss wrt all parameters and inputs given dL/de."""
     params: MoEParams = cache["params"]
-    cfg = params.config
-    A = params.arrays
-    v, cls, t = cache["v"], cache["cls"], cache["t"]
-    pi_high = cache["pi_high"]
+    A, S = params.arrays, cache["stacked"]
+    v, cls, t, z_act, vt = cache["v"], cache["cls"], cache["t"], cache["z_act"], cache["vt"]
+    pi_high, pi_rows, expert_out = cache["pi_high"], cache["pi_rows"], cache["expert_out"]
     B, n_i, n_m, d_i = v.shape
+    N, R, T, H = params.config.n_experts, B * n_i, params.config.d_text, params.config.hidden
+    gate = cache["gate"].reshape(N, R, n_m)
 
-    grads = {name: np.zeros_like(arr) for name, arr in A.items()}
-    dv = np.zeros_like(v)
-    dcls = np.zeros_like(cls)
-    dpi_high = np.zeros_like(pi_high)
+    de = np.asarray(de, dtype=np.float64).reshape(R, 1, T)
+    dpi_high = (expert_out * de).sum(axis=2).reshape(B, n_i, N).sum(axis=1)
+    dout = pi_rows[:, :, None] * de  # (R, N, d_T), broadcast of the sum over modalities
+    dgate = (dout * cache["diff"]).sum(axis=3).transpose(2, 1, 0)  # (N, R, N_m)
+    g = np.ascontiguousarray(gate.transpose(2, 1, 0))[..., None]  # (N_m, R, N, 1)
+    dspec = g * dout  # (N_m, R, N, d_T), C-ordered so that its reshapes are views
+    G = {
+        "Wm": (dspec.reshape(n_m, R, N * T).transpose(0, 2, 1) @ vt)
+        .reshape(n_m, N, T, d_i).transpose(1, 0, 2, 3),
+        "bm": dspec.sum(axis=1).transpose(1, 0, 2),
+    }
+    dvt = dspec.reshape(n_m, R, N * T) @ cache["Wm"]  # (N_m, R, d_I)
+    dshared = np.subtract(dout, dspec, out=dspec).reshape(n_m * R, N * T)  # (1 - pi) * dout
+    G["Ws"] = (dshared.T @ vt.reshape(n_m * R, d_i)).reshape(N, T, d_i)
+    G["bs"] = dshared.sum(axis=0).reshape(N, T)
+    dvt += (dshared @ cache["Ws"]).reshape(n_m, R, d_i)
 
-    for n in range(cfg.n_experts):
-        p = f"expert{n}"
-        ec = cache["experts"][n]
-        gate, spec, shared = ec["gate"], ec["spec"], ec["shared"]
-        d_expert = pi_high[:, n, None, None] * de  # (B, N_I, d_T)
-        dpi_high[:, n] = np.einsum("bit,bit->b", de, ec["expert_out"])
-
-        dmix = d_expert[:, :, None, :]  # broadcast of the sum over modalities
-        dspec = gate[..., None] * dmix
-        dshared = (1.0 - gate)[..., None] * dmix
-        dgate = np.einsum("bimt->bim", dmix * (spec - shared))
-
-        grads[f"{p}.Wm"] += np.einsum("bimt,bimd->mtd", dspec, v)
-        grads[f"{p}.bm"] += dspec.sum(axis=(0, 1))
-        grads[f"{p}.Ws"] += np.einsum("bimt,bimd->td", dshared, v)
-        grads[f"{p}.bs"] += dshared.sum(axis=(0, 1, 2))
-        dv += np.einsum("bimt,mtd->bimd", dspec, A[f"{p}.Wm"])
-        dv += np.einsum("bimt,td->bimd", dshared, A[f"{p}.Ws"])
-
-        pi, z_act, x = ec["pi"], ec["z_act"], ec["x"]
-        if cfg.granularity[n] == MODALITY_LEVEL:
-            dpi = dgate.sum(axis=1)  # (B, N_m); gate shared across positions
-            dlogit = dpi * pi * (1.0 - pi)
-            grads[f"{p}.low.W2"] += dlogit.T @ z_act
-            grads[f"{p}.low.b2"] += dlogit.sum(axis=0)
-            dz = (dlogit @ A[f"{p}.low.W2"]) * (1.0 - z_act**2)
-            grads[f"{p}.low.W1"] += dz.T @ x
-            grads[f"{p}.low.b1"] += dz.sum(axis=0)
-            dcls += (dz @ A[f"{p}.low.W1"]).reshape(B, n_m, d_i)
-        else:
-            dlogit = dgate * pi * (1.0 - pi)  # (B, N_I, N_m)
-            grads[f"{p}.low.W2"] += np.einsum("bim,bih->mh", dlogit, z_act)
-            grads[f"{p}.low.b2"] += dlogit.sum(axis=(0, 1))
-            dz = np.einsum("bim,mh->bih", dlogit, A[f"{p}.low.W2"]) * (1.0 - z_act**2)
-            grads[f"{p}.low.W1"] += np.einsum("bih,bik->hk", dz, x)
-            grads[f"{p}.low.b1"] += dz.sum(axis=(0, 1))
-            dv += np.einsum("bih,hk->bik", dz, A[f"{p}.low.W1"]).reshape(B, n_i, n_m, d_i)
+    dlogit = dgate * gate * (1.0 - gate)  # (N, R, N_m)
+    G["low.W2"] = dlogit.transpose(0, 2, 1) @ z_act
+    G["low.b2"] = dlogit.sum(axis=1)
+    dz = ((dlogit @ S["low.W2"]) * (1.0 - z_act**2)).transpose(1, 0, 2).reshape(R, N * H)
+    # Token-level experts' router gradient goes to the tokens, modality-level
+    # experts' to the [CLS] tokens, summed over positions.
+    dz_tok = np.where(cache["token_cols"], dz, 0.0)
+    dz_cls = np.where(cache["token_cols"], 0.0, dz).reshape(B, n_i, N * H).sum(axis=1)
+    x_tok, x_cls = v.reshape(R, n_m * d_i), cls.reshape(B, n_m * d_i)
+    G["low.W1"] = (dz_tok.T @ x_tok + dz_cls.T @ x_cls).reshape(N, H, n_m * d_i)
+    G["low.b1"] = dz.sum(axis=0).reshape(N, H)
+    W1 = S["low.W1"].reshape(N * H, n_m * d_i)
+    dv = dvt.transpose(1, 0, 2).reshape(v.shape) + (dz_tok @ W1).reshape(v.shape)
+    dcls = (dz_cls @ W1).reshape(cls.shape)
 
     # softmax jacobian, then the high router MLP
     dlogits = pi_high * (dpi_high - (dpi_high * pi_high).sum(axis=1, keepdims=True))
     h_act = cache["h_act"]
-    grads["high.W2"] += dlogits.T @ h_act
-    grads["high.b2"] += dlogits.sum(axis=0)
+    grads = {"high.W2": dlogits.T @ h_act, "high.b2": dlogits.sum(axis=0)}
     dh = (dlogits @ A["high.W2"]) * (1.0 - h_act**2)
-    grads["high.W1"] += dh.T @ t
-    grads["high.b1"] += dh.sum(axis=0)
-    dt = dh @ A["high.W1"]
-    return grads, {"v": dv, "cls": dcls, "t": dt}
+    grads["high.W1"] = dh.T @ t
+    grads["high.b1"] = dh.sum(axis=0)
+    grads.update({f"expert{n}.{kind}": G[kind][n] for n in range(N) for kind in _EXPERT_KINDS})
+    return grads, {"v": dv, "cls": dcls, "t": dh @ A["high.W1"]}
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +304,9 @@ def moe_forward(
 ) -> tuple[np.ndarray, RoutingTrace]:
     """Fuse one sample; returns (N_I, d_T) tokens plus the routing trace."""
     e, cache = moe_forward_batch(v[None], cls[None], t[None], params)
-    pi_low = []
-    for n, ec in enumerate(cache["experts"]):
-        if params.config.granularity[n] == MODALITY_LEVEL:
-            pi_low.append(ec["pi"][0])
-        else:
-            pi_low.append(ec["pi"][0].T)  # (N_m, N_I)
+    gate = cache["gate"][:, 0]  # (N, N_I, N_m)
+    pi_low = [gate[n, 0] if g == MODALITY_LEVEL else gate[n].T  # (N_m,) or (N_m, N_I)
+              for n, g in enumerate(params.config.granularity)]
     return e[0], RoutingTrace(pi_high=cache["pi_high"][0], pi_low=pi_low)
 
 
@@ -393,12 +395,9 @@ def save_checkpoint(path, params: MoEParams, extra: dict | None = None) -> None:
     if extra:
         manifest["extra"] = extra
     blob = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(np.uint32(len(blob)).tobytes())
-        fh.write(blob)
-        for n in names:
-            fh.write(params.arrays[n].astype("<f8").tobytes())
+    payload = [params.arrays[n].astype("<f8").tobytes() for n in names]
+    prefix = [_CHECKPOINT_MAGIC, np.uint32(len(blob)).tobytes(), blob]
+    atomic_write(path, b"".join(prefix + payload))
 
 
 def load_checkpoint(path) -> MoEParams:
@@ -441,15 +440,14 @@ def load_checkpoint(path) -> MoEParams:
 def _manifest_layout(manifest) -> tuple[MoEConfig, list[tuple[str, tuple[int, ...]]]]:
     """Config and (name, shape) array entries of a checkpoint manifest, validated."""
 
-    def count(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    def count(value) -> bool:  # ranges are checked by MoEConfig and the layout match
+        return isinstance(value, int) and not isinstance(value, bool)
 
-    ints = ("n_experts", "n_modalities", "d_image", "d_text", "hidden")
-    required = set(ints) | {"granularity", "arrays"}
+    required = set(_SIZES) | {"granularity", "arrays"}
     if not isinstance(manifest, dict) or not required <= set(manifest):
         raise FormatError("checkpoint manifest lacks required keys")
-    if not all(count(manifest[k]) for k in ints):
-        raise FormatError(f"checkpoint manifest sizes {ints} must be non-negative integers")
+    if not all(count(manifest[k]) for k in _SIZES):
+        raise FormatError(f"checkpoint manifest sizes {_SIZES} must be integers")
     tags, listed = manifest["granularity"], manifest["arrays"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise FormatError("checkpoint granularity must be a list of strings")
@@ -463,7 +461,7 @@ def _manifest_layout(manifest) -> tuple[MoEConfig, list[tuple[str, tuple[int, ..
             raise FormatError("checkpoint arrays must be {name, shape} entries")
         entries.append((entry["name"], tuple(entry["shape"])))
     try:
-        cfg = MoEConfig(**{k: manifest[k] for k in ints}, granularity=tuple(tags))
+        cfg = MoEConfig(**{k: manifest[k] for k in _SIZES}, granularity=tuple(tags))
     except ConfigError as exc:
         raise FormatError(f"checkpoint manifest: {exc}") from None
     if sorted(entries) != sorted(_param_layout(cfg)):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
+from .fileio import atomic_write
 from .mc_tables import TRI_TABLE
 
 # Cube corner offsets and the corner pair of each of the 12 edges, in the
@@ -201,11 +202,8 @@ def is_orientable(mesh: SurfaceMesh) -> bool:
 
 
 def write_off(mesh: SurfaceMesh, path) -> None:
-    """Write the mesh in ASCII OFF format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+    """Write the mesh in ASCII OFF format, atomically."""
+    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.triangles)} 0"]
+    lines += [f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
+    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -169,6 +169,36 @@ def model_loss_and_grads(
     return total, breakdown, grads
 
 
+def finite_difference_errors(
+    model: MultiTaskModel, batch: ToyBatch, picks: dict
+) -> dict[str, float]:
+    """Worst relative error of the analytic gradient per array, by central differences.
+
+    ``picks`` maps each array name of ``model.all_arrays()`` to the flat
+    indices of the scalars to probe.  Each probe moves one scalar by +-1e-5
+    and compares ``fd = (L+ - L-) / 2e-5`` with the analytic gradient ``g`` as
+    ``|fd - g| / max(|fd|, |g|, 1e-8)``; the model is left unchanged.  An
+    array with a NaN error at any probe reports NaN.
+    """
+    eps = 1e-5
+    _, _, grads = model_loss_and_grads(model, batch)
+    worst: dict[str, float] = {}
+    for name, arr in model.all_arrays().items():
+        worst[name] = 0.0
+        for i in picks[name]:
+            orig = arr.flat[i]
+            arr.flat[i] = orig + eps
+            lp, _, _ = model_loss_and_grads(model, batch)
+            arr.flat[i] = orig - eps
+            lm, _, _ = model_loss_and_grads(model, batch)
+            arr.flat[i] = orig
+            fd = (lp - lm) / (2 * eps)
+            g = grads[name].flat[i]
+            rel = abs(fd - g) / max(abs(fd), abs(g), 1e-8)
+            worst[name] = float(np.maximum(worst[name], rel))  # a NaN stays NaN
+    return worst
+
+
 def evaluate(model: MultiTaskModel, batch: ToyBatch) -> dict[str, float]:
     """Per-task accuracy in percent (region is per-label binary accuracy)."""
     _, _, logits, _ = model_forward(model, batch)

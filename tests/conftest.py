@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,21 @@ def digitized_ellipsoid(semi_axes: tuple[int, int, int], margin: int = 2) -> np.
 def random_blob(seed: int, dims=(16, 16, 16), density: float = 0.35) -> np.ndarray:
     rng = stream(seed, "blob")
     return (rng.random(dims) < density).astype(np.uint8)
+
+
+def with_manifest(raw: bytes, blob: bytes) -> bytes:
+    """Checkpoint bytes ``raw`` with their manifest replaced by ``blob``."""
+    blob_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+    return raw[:4] + np.uint32(len(blob)).tobytes() + blob + raw[8 + blob_len :]
+
+
+def edit_manifest(path, edit) -> None:
+    """Rewrite the checkpoint at ``path`` after ``edit(manifest)`` changed its manifest."""
+    raw = path.read_bytes()
+    blob_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+    manifest = json.loads(raw[8 : 8 + blob_len])
+    edit(manifest)
+    path.write_bytes(with_manifest(raw, json.dumps(manifest).encode("utf-8")))
 
 
 @pytest.fixture(scope="session")

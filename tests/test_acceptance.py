@@ -49,8 +49,8 @@ from brainvqa.surface import is_closed, marching_cubes, mesh_area
 from brainvqa.templates import TASKS, UNSPECIFIED, default_bank
 from brainvqa.training import (
     evaluate,
+    finite_difference_errors,
     make_toy_task,
-    model_loss_and_grads,
     smoothed,
     train_toy,
 )
@@ -299,26 +299,12 @@ def test_criterion_08_gradient_check():
         t=rng.normal(size=(batch, d_t)),
         gold=gold,
     )
-    _, _, grads = model_loss_and_grads(model, data)
-    eps = 1e-5
-    worst = 0.0
-    n_checked = 0
-    for name, arr in model.all_arrays().items():
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp, _, _ = model_loss_and_grads(model, data)
-            flat[i] = orig - eps
-            lm, _, _ = model_loss_and_grads(model, data)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * eps)
-            g = grads[name].reshape(-1)[i]
-            denom = max(abs(fd), abs(g), 1e-8)
-            rel = abs(fd - g) / denom
-            worst = max(worst, rel)
-            n_checked += 1
-            assert rel < 1e-4, f"{name}[{i}]: rel {rel:.2e}"
+    every_scalar = {name: range(arr.size) for name, arr in model.all_arrays().items()}
+    errors = finite_difference_errors(model, data, every_scalar)
+    n_checked = sum(len(indices) for indices in every_scalar.values())
+    bad = {name: rel for name, rel in errors.items() if not rel < 1e-4}  # NaN fails too
+    assert not bad, f"rel errors at or above 1e-4: {bad}"
+    worst = max(errors.values())
     elapsed = time.time() - started
     assert elapsed < 120.0, f"gradient check took {elapsed:.0f}s"
     announce("criterion 8 gradients",

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brainvqa.cli import main
+from brainvqa import cli
+from brainvqa.cli import EXIT_NUMERIC, main
 from brainvqa.moe import MoEParams, init_moe_params, save_checkpoint
 from brainvqa.qagen import record_from_json
 from brainvqa.synthetic import write_fixture
+from conftest import edit_manifest
 
 GOLDEN = Path(__file__).parent / "data" / "golden_descriptors.jsonl"
 
@@ -225,6 +227,14 @@ class TestMoECommands:
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
 
+    def test_moe_check_nan_gradient_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "finite_difference_errors",
+                            lambda model, batch, picks: {"a": 0.0, "b": float("nan")})
+        assert main(["moe-check", "--seed", "0", "--configs", "1",
+                     "--prompts", "20", "--experts", "4"]) == EXIT_NUMERIC
+        row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("gradient"))
+        assert "nan" in row and row.endswith("FAIL")
+
     def test_moe_demo_short_run(self, tmp_path):
         out = tmp_path / "curve.csv"
         ckpt = tmp_path / "params.bin"
@@ -252,6 +262,19 @@ class TestMoECommands:
         save_checkpoint(ckpt, MoEParams(params.config, arrays))
         assert main(["heatmap", "--params", str(ckpt), "--out", str(tmp_path / "h.csv")]) == 3
         assert "do not match its config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--experts", "--d-text"])
+    def test_heatmap_zero_size_exit_2(self, tmp_path, capsys, flag):
+        assert main(["heatmap", flag, "0", "--out", str(tmp_path / "h.csv")]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_heatmap_zero_size_params_exit_3(self, tmp_path, capsys):
+        ckpt = tmp_path / "params.bin"
+        save_checkpoint(ckpt, init_moe_params(1, n_experts=2, n_modalities=4, d_image=16,
+                                              d_text=32))
+        edit_manifest(ckpt, lambda manifest: manifest.update(n_experts=0))
+        assert main(["heatmap", "--params", str(ckpt), "--out", str(tmp_path / "h.csv")]) == 3
+        assert "must be at least 1" in capsys.readouterr().err
 
     def test_heatmap_60_prompts(self, tmp_path):
         out = tmp_path / "heat.csv"

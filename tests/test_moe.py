@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from brainvqa.errors import FormatError
+from brainvqa.errors import ConfigError, FormatError
 from brainvqa.moe import (
     MODALITY_LEVEL,
     MoEParams,
@@ -25,6 +25,7 @@ from brainvqa.moe import (
     token_count_comparison,
 )
 from brainvqa.rng import stream
+from conftest import edit_manifest, with_manifest
 
 
 def randomized_params(seed, **kwargs):
@@ -203,6 +204,21 @@ class TestMoEForward:
         with pytest.raises(FormatError):
             moe_forward(v, cls, np.zeros(9), params)
 
+    @pytest.mark.parametrize("cls_shape", [(3, 2), (2, 4), (1, 2, 3)])
+    def test_cls_shape_mismatch_raises(self, cls_shape):
+        params = init_moe_params(0, n_experts=2, n_modalities=2, d_image=3, d_text=4)
+        v, _, t = random_inputs(17, 4, 2, 3, 4)
+        with pytest.raises(FormatError, match="cls"):
+            moe_forward(v, np.zeros(cls_shape), t, params)
+
+    def test_v_must_be_4d_with_positions(self):
+        params = init_moe_params(0, n_experts=2, n_modalities=2, d_image=3, d_text=4)
+        v, cls, t = random_inputs(17, 4, 2, 3, 4)
+        with pytest.raises(FormatError, match="v"):
+            moe_forward_batch(v, cls[None], t[None], params)
+        with pytest.raises(FormatError, match="v"):
+            moe_forward(v[:0], cls, t, params)
+
     def test_trace_shapes(self):
         params = randomized_params(18, n_experts=2, n_modalities=3, d_image=4, d_text=5,
                                    granularity=(MODALITY_LEVEL, TOKEN_LEVEL))
@@ -288,6 +304,13 @@ class TestGranularityAndUtilities:
         out = token_count_comparison(144, 4)
         assert out == {"fused_tokens": 144, "concatenated_tokens": 576}
 
+    @pytest.mark.parametrize("size", ["n_experts", "n_modalities", "d_image", "d_text", "hidden"])
+    def test_sizes_must_be_positive(self, size):
+        kwargs = {"n_experts": 2, "n_modalities": 2, "d_image": 3, "d_text": 4, "hidden": 2}
+        kwargs[size] = 0
+        with pytest.raises(ConfigError, match=size):
+            init_moe_params(0, **kwargs)
+
     def test_parameter_count_reportable(self):
         params = init_moe_params(0, n_experts=2, n_modalities=2, d_image=3, d_text=4,
                                  hidden=2)
@@ -313,7 +336,7 @@ class TestGranularityAndUtilities:
 
     @pytest.mark.parametrize("damage", [
         "empty", "prefix", "manifest", "array", "trailing", "not_json", "not_utf8",
-        "missing_key", "bad_shape", "bad_granularity",
+        "missing_key", "bad_shape", "bad_granularity", "zero_n_experts", "zero_d_text",
     ])
     def test_malformed_checkpoint_is_format_error(self, tmp_path, damage):
         params = randomized_params(3, n_experts=2, n_modalities=2, d_image=3, d_text=4)
@@ -321,29 +344,26 @@ class TestGranularityAndUtilities:
         save_checkpoint(path, params)
         raw = path.read_bytes()
         blob_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-        manifest = json.loads(raw[8 : 8 + blob_len])
-
-        def with_manifest(blob: bytes) -> bytes:
-            return raw[:4] + np.uint32(len(blob)).tobytes() + blob + raw[8 + blob_len :]
-
-        if damage == "missing_key":
-            del manifest["hidden"]
-        elif damage == "bad_shape":
-            manifest["arrays"][0]["shape"] = [-1]
-        elif damage == "bad_granularity":
-            manifest["granularity"] = ["token"]
+        edits = {
+            "missing_key": lambda m: m.pop("hidden"),
+            "bad_shape": lambda m: m["arrays"][0].update(shape=[-1]),
+            "bad_granularity": lambda m: m.update(granularity=["token"]),
+            "zero_n_experts": lambda m: m.update(n_experts=0),
+            "zero_d_text": lambda m: m.update(d_text=0),
+        }
         damaged = {
             "empty": b"",
             "prefix": raw[:6],
             "manifest": raw[: 8 + blob_len // 2],
             "array": raw[:-5],
             "trailing": raw + b"\0",
-            "not_json": with_manifest(b"{not json"),
-            "not_utf8": with_manifest(b"\xff\xfe"),
+            "not_json": with_manifest(raw, b"{not json"),
+            "not_utf8": with_manifest(raw, b"\xff\xfe"),
         }
-        if damage not in damaged:
-            damaged[damage] = with_manifest(json.dumps(manifest).encode("utf-8"))
-        path.write_bytes(damaged[damage])
+        if damage in edits:
+            edit_manifest(path, edits[damage])
+        else:
+            path.write_bytes(damaged[damage])
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

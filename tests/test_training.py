@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from brainvqa.errors import TrainingError
+from brainvqa import training
 from brainvqa.training import (
     evaluate,
+    finite_difference_errors,
     head_sizes,
     heads_forward,
     init_heads,
@@ -163,6 +165,22 @@ class TestTrainToy:
                 g = grads[name].reshape(-1)[i]
                 denom = max(abs(fd), abs(g), 1e-8)
                 assert abs(fd - g) / denom < 1e-4, name
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_finite_difference_errors_keep_nan(self, monkeypatch, order):
+        task = tiny_task()
+        real = training.model_loss_and_grads
+
+        def nan_gradient(model, batch):
+            total, breakdown, grads = real(model, batch)
+            grads["expert0.Ws"].flat[1] = np.nan
+            return total, breakdown, grads
+
+        monkeypatch.setattr(training, "model_loss_and_grads", nan_gradient)
+        picks = {name: order for name in task.model.all_arrays()}
+        errors = finite_difference_errors(task.model, task.train, picks)
+        assert np.isnan(errors["expert0.Ws"])
+        assert all(e < 1e-4 for name, e in errors.items() if name != "expert0.Ws")
 
     def test_smoothed_window(self):
         curve = list(range(100, 0, -1))

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -183,10 +184,16 @@ def _compute_all_descriptors(args) -> tuple[list[TaskDescriptors], list[dict]]:
     dirs = _study_dirs(args.data_dir)
 
     def work(study_dir: Path):
+        # One study's failure, of any kind, must not end the corpus: it is
+        # recorded (with the traceback when it is not a BrainVQAError) instead.
         try:
             return study_dir.name, _describe_study(study_dir, labels, atlas, args), None
-        except BrainVQAError as exc:
-            return study_dir.name, None, {"study_id": study_dir.name, "error": str(exc)}
+        except Exception as exc:
+            failure = {"study_id": study_dir.name, "error_type": type(exc).__name__,
+                       "error": str(exc)}
+            if not isinstance(exc, BrainVQAError):
+                failure["traceback"] = traceback.format_exc()
+            return study_dir.name, None, failure
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

@@ -1,15 +1,39 @@
-"""3D convex hull volume via quickhull.
+"""3D convex hulls: array quickhull, and the exact hull volume of a voxel set.
 
-Volume is accumulated as signed tetrahedra from an interior point over the
-outward-oriented hull facets.  Inputs that span fewer than three dimensions
-raise :class:`DegenerateHullError`; callers that need a guaranteed 3D point
-set (solidity) feed voxel corners rather than centers.
+:func:`quickhull` is Quickhull (Barber, Dobkin & Huhdanpaa 1996) as array
+code.  The faces live in arrays of vertex indices, unit normals and offsets;
+the points still outside the hull are assigned to faces with one points ×
+normals product and an ``argmax``.  Each step takes the farthest outside
+point as the apex, finds every face it sees with one product against all
+live normals, takes as horizon the visible faces' directed edges whose
+reverse is not among them, and re-assigns only the orphaned points, against
+the new faces only.  Inputs that span fewer than three dimensions raise
+:class:`DegenerateHullError`.
+
+:func:`voxel_hull_volume` is the solidity denominator: the hull of a voxel
+set's corners, with the corners on the doubled lattice (``2c ± 1`` per axis,
+int64).  A corner ``2c + s``, ``s`` in ``{-1, +1}^3``, can be a hull vertex
+only if voxel ``c`` is the lowest (``s_k = -1``) or highest (``s_k = +1``)
+voxel of its axis-``k`` line for all three ``k``: otherwise the same corner
+of the neighbouring line voxel lies beyond it on that axis line.  After
+deduplication, a corner strictly between two others on an axis-parallel line
+is dropped as well.  The volume is exact: the int64 triple products of the
+hull facets with a hull vertex as origin (each is >= 0, and their sum is at
+most 6·(2·dim)^3 < 2^63 for any int16 NIfTI dims), summed and then scaled
+once by ``sx·sy·sz / 48``, so it depends on neither facet order nor the hull
+algorithm.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DegenerateHullError
+
+# Corner offsets s in {-1, +1}^3 of a voxel on the doubled lattice.
+_CORNER_SIGNS = np.array(list(np.ndindex(2, 2, 2)), dtype=np.int64) * 2 - 1
+# Cyclic successor and predecessor of each coordinate axis or triangle corner.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 def convex_hull_volume(points: np.ndarray) -> float:
@@ -18,15 +42,68 @@ def convex_hull_volume(points: np.ndarray) -> float:
     a = pts[faces[:, 0]] - interior
     b = pts[faces[:, 1]] - interior
     c = pts[faces[:, 2]] - interior
-    signed = np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    signed = np.einsum("ij,ij->i", a, _cross(b, c)) / 6.0
     return float(signed.sum())
+
+
+def voxel_hull_volume(
+    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+) -> float:
+    """Exact volume of the convex hull of a voxel set's corners, in mm^3.
+
+    Equals ``convex_hull_volume(voxel_corner_points(coords, spacing))`` up
+    to the rounding of that float sum; this value is the exact lattice volume
+    rounded once.
+    """
+    corners = _corner_candidates(coords)
+    # Shifted to the origin, a lattice point off a facet plane is at least
+    # 1/|integer normal| from it, which stays above quickhull's eps for
+    # components up to about 300 voxels across: its float tests decide exactly.
+    faces, pts, _ = quickhull(corners - corners.min(axis=0))
+    lattice = pts.astype(np.int64)  # integers well below 2^53
+    origin = lattice[faces[0, 0]]
+    a, b, c = (lattice[faces[:, k]] - origin for k in range(3))
+    sixfold = int(np.sum(np.einsum("ij,ij->i", a, _cross(b, c))))
+    sx, sy, sz = (float(s) for s in spacing)
+    return sixfold * (sx * sy * sz) / 48.0
+
+
+def _line_extremes(points: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the lowest and highest point of each axis-parallel line."""
+    others = [k for k in range(3) if k != axis]
+    order = np.lexsort((points[:, axis], points[:, others[1]], points[:, others[0]]))
+    line = points[order][:, others]
+    new_line = np.ones(len(order) + 1, dtype=bool)
+    new_line[1:-1] = (line[1:] != line[:-1]).any(axis=1)
+    lowest = np.empty(len(order), dtype=bool)
+    highest = np.empty(len(order), dtype=bool)
+    lowest[order] = new_line[:-1]
+    highest[order] = new_line[1:]
+    return lowest, highest
+
+
+def _corner_candidates(coords: np.ndarray) -> np.ndarray:
+    """Doubled-lattice corners (int64) that can be hull vertices of the voxel set."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    lo, hi = zip(*(_line_extremes(coords, k) for k in range(3)))
+    # keep[v, s]: corner s of voxel v is extreme on all three of its axis lines.
+    keep = np.ones((len(coords), 8), dtype=bool)
+    for k in range(3):
+        keep &= np.where(_CORNER_SIGNS[:, k] < 0, lo[k][:, None], hi[k][:, None])
+    voxel, corner = np.nonzero(keep)
+    corners = np.unique(2 * coords[voxel] + _CORNER_SIGNS[corner], axis=0)
+    extreme = np.ones(len(corners), dtype=bool)
+    for k in range(3):
+        lowest, highest = _line_extremes(corners, k)
+        extreme &= lowest | highest
+    return corners[extreme]
 
 
 def quickhull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compute hull facets (outward-oriented vertex triples).
 
     Returns ``(faces, points, interior_point)`` where ``faces`` is (F, 3)
-    indices into ``points``.
+    indices into ``points``, the distinct input points in sorted order.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     pts = np.unique(pts, axis=0)
@@ -37,76 +114,89 @@ def quickhull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     simplex = _initial_simplex(pts, eps)
     interior = pts[simplex].mean(axis=0)
-
-    # Outward-oriented initial faces of the tetrahedron.
     i0, i1, i2, i3 = simplex
-    faces: dict[int, tuple[int, int, int]] = {}
-    next_id = 0
-    for tri in ((i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)):
-        faces[next_id] = _orient_outward(tri, pts, interior)
-        next_id += 1
+    tri = np.array([(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)], dtype=np.int64)
+    normal, offset = _planes(pts, tri)
+    inward = normal @ interior - offset > 0
+    tri[inward] = tri[inward][:, [0, 2, 1]]
+    normal[inward] *= -1.0
+    offset[inward] *= -1.0
+    alive = np.ones(4, dtype=bool)
 
-    normals = {fid: _plane(pts, tri) for fid, tri in faces.items()}
-    outside: dict[int, list[int]] = {fid: [] for fid in faces}
-    unclaimed = [i for i in range(pts.shape[0]) if i not in set(simplex)]
-    _assign(unclaimed, faces, normals, outside, pts, eps)
+    # Points outside the hull: index, owning face and distance to its plane.
+    rest = np.ones(pts.shape[0], dtype=bool)
+    rest[simplex] = False
+    live, owner, dist = _assign(pts, np.flatnonzero(rest), normal, offset, 0, eps)
 
-    pending = [fid for fid, lst in outside.items() if lst]
-    while pending:
-        fid = pending.pop()
-        if fid not in faces or not outside.get(fid):
-            continue
-        cand = outside[fid]
-        n, d = normals[fid]
-        dists = pts[cand] @ n - d
-        apex = cand[int(np.argmax(dists))]
+    while live.size:
+        k = int(np.argmax(dist))
+        apex = live[k]
+        visible = alive & (normal @ pts[apex] - offset > eps)
+        # New faces join the apex to the horizon: the visible faces' directed
+        # edges whose reverse is not an edge of another visible face.
+        seen = tri[visible]
+        start, end = seen.ravel(), seen[:, _NEXT].ravel()
+        edge = start * len(pts) + end
+        reverse = np.sort(end * len(pts) + start)
+        at = np.minimum(np.searchsorted(reverse, edge), len(reverse) - 1)
+        horizon = reverse[at] != edge
+        new = np.column_stack(
+            [start[horizon], end[horizon], np.full(int(horizon.sum()), apex)]
+        )
+        new_normal, new_offset = _planes(pts, new)
+        first = tri.shape[0]
+        alive[visible] = False
+        tri = np.concatenate([tri, new])
+        normal = np.concatenate([normal, new_normal])
+        offset = np.concatenate([offset, new_offset])
+        alive = np.concatenate([alive, np.ones(len(new), dtype=bool)])
 
-        visible = _visible_faces(apex, fid, faces, normals, pts, eps)
-        horizon = _horizon_edges(visible, faces)
+        orphaned = visible[owner]
+        orphans = live[orphaned]
+        orphans = orphans[orphans != apex]
+        o_live, o_owner, o_dist = _assign(pts, orphans, new_normal, new_offset, first, eps)
+        kept = ~orphaned
+        live = np.concatenate([live[kept], o_live])
+        owner = np.concatenate([owner[kept], o_owner])
+        dist = np.concatenate([dist[kept], o_dist])
 
-        orphans: list[int] = []
-        for vid in visible:
-            orphans.extend(outside.pop(vid, []))
-            del faces[vid]
-            del normals[vid]
-        orphans = [p for p in set(orphans) if p != apex]
+    return tri[alive], pts, interior
 
-        new_ids = []
-        for a, b in horizon:
-            tri = (a, b, apex)
-            tri = _orient_outward(tri, pts, interior)
-            faces[next_id] = tri
-            normals[next_id] = _plane(pts, tri)
-            outside[next_id] = []
-            new_ids.append(next_id)
-            next_id += 1
-        _assign(orphans, {i: faces[i] for i in new_ids}, normals, outside, pts, eps)
-        pending.extend(i for i in new_ids if outside[i])
 
-    face_arr = np.array(list(faces.values()), dtype=np.int64)
-    return face_arr, pts, interior
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (n, 3) arrays (``np.cross`` without its overhead)."""
+    return u[:, _NEXT] * v[:, _PREV] - u[:, _PREV] * v[:, _NEXT]
+
+
+def _planes(pts: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals (right-hand rule on the vertex order) and plane offsets."""
+    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+    n = _cross(b - a, c - a)
+    norm = np.linalg.norm(n, axis=1, keepdims=True)
+    n = np.divide(n, norm, out=np.zeros_like(n), where=norm > 0)
+    return n, np.einsum("ij,ij->i", n, a)
+
+
+def _assign(pts, candidates, normal, offset, first, eps):
+    """Outside ``candidates`` with the face (``first`` + row) each is farthest above."""
+    heights = pts[candidates] @ normal.T - offset
+    best = np.argmax(heights, axis=1)
+    dist = heights[np.arange(len(candidates)), best]
+    outside = dist > eps
+    return candidates[outside], best[outside] + first, dist[outside]
 
 
 def _initial_simplex(pts: np.ndarray, eps: float) -> list[int]:
-    lo = int(np.argmin(pts[:, 0]))
-    hi = int(np.argmax(pts[:, 0]))
-    if not np.any(np.abs(pts[lo] - pts[hi]) > eps):
-        # x-degenerate cloud; fall back to the most distant axis-extreme pair
-        extremes = [int(np.argmin(pts[:, k])) for k in range(3)]
-        extremes += [int(np.argmax(pts[:, k])) for k in range(3)]
-        best = (lo, hi, -1.0)
-        for i in extremes:
-            for j in extremes:
-                d = float(np.linalg.norm(pts[i] - pts[j]))
-                if d > best[2]:
-                    best = (i, j, d)
-        lo, hi, dist = best
-        if dist <= eps:
-            raise DegenerateHullError("all points coincide")
+    # The farthest pair among the axis-extreme points.
+    extremes = np.concatenate([pts.argmin(axis=0), pts.argmax(axis=0)])
+    gaps = np.linalg.norm(pts[extremes][:, None] - pts[extremes][None], axis=2)
+    i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    if gaps[i, j] <= eps:
+        raise DegenerateHullError("all points coincide")
+    lo, hi = int(extremes[i]), int(extremes[j])
     line = pts[hi] - pts[lo]
     rel = pts - pts[lo]
-    cross = np.cross(rel, line)
-    d_line = np.linalg.norm(cross, axis=1)
+    d_line = np.linalg.norm(np.cross(rel, line), axis=1)
     third = int(np.argmax(d_line))
     if d_line[third] <= eps * max(np.linalg.norm(line), 1.0):
         raise DegenerateHullError("points are collinear")
@@ -119,71 +209,6 @@ def _initial_simplex(pts: np.ndarray, eps: float) -> list[int]:
     return [lo, hi, third, fourth]
 
 
-def _plane(pts: np.ndarray, tri: tuple[int, int, int]) -> tuple[np.ndarray, float]:
-    a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-    n = np.cross(b - a, c - a)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        n = np.zeros(3)
-    else:
-        n = n / norm
-    return n, float(n @ a)
-
-
-def _orient_outward(
-    tri: tuple[int, int, int], pts: np.ndarray, interior: np.ndarray
-) -> tuple[int, int, int]:
-    n, d = _plane(pts, tri)
-    if n @ interior - d > 0:
-        return (tri[0], tri[2], tri[1])
-    return tri
-
-
-def _assign(candidates, faces, normals, outside, pts, eps) -> None:
-    for p in candidates:
-        best_fid, best_dist = -1, eps
-        for fid in faces:
-            n, d = normals[fid]
-            dist = float(pts[p] @ n - d)
-            if dist > best_dist:
-                best_fid, best_dist = fid, dist
-        if best_fid >= 0:
-            outside[best_fid].append(p)
-
-
-def _visible_faces(apex, start, faces, normals, pts, eps) -> set[int]:
-    visible = set()
-    stack = [start]
-    edge_owner = {}
-    for fid, tri in faces.items():
-        for k in range(3):
-            edge_owner[(tri[k], tri[(k + 1) % 3])] = fid
-    while stack:
-        fid = stack.pop()
-        if fid in visible:
-            continue
-        n, d = normals[fid]
-        if float(pts[apex] @ n - d) > eps or fid == start:
-            visible.add(fid)
-            tri = faces[fid]
-            for k in range(3):
-                rev = (tri[(k + 1) % 3], tri[k])
-                neighbor = edge_owner.get(rev)
-                if neighbor is not None and neighbor not in visible:
-                    stack.append(neighbor)
-    return visible
-
-
-def _horizon_edges(visible, faces) -> list[tuple[int, int]]:
-    edges = []
-    for fid in visible:
-        tri = faces[fid]
-        for k in range(3):
-            edges.append((tri[k], tri[(k + 1) % 3]))
-    edge_set = set(edges)
-    return [e for e in edges if (e[1], e[0]) not in edge_set]
-
-
 def voxel_corner_points(
     coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> np.ndarray:
@@ -193,8 +218,6 @@ def voxel_corner_points(
     cube of volume dx*dy*dz and removes the coplanar-failure class entirely.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    doubled = 2 * coords[:, None, :] + np.array(
-        [c for c in np.ndindex(2, 2, 2)], dtype=np.int64
-    ) * 2 - 1
+    doubled = 2 * coords[:, None, :] + _CORNER_SIGNS
     corners = np.unique(doubled.reshape(-1, 3), axis=0)
     return corners * (np.asarray(spacing, dtype=np.float64) / 2.0)

@@ -12,6 +12,7 @@ diagonal built from pixdim.
 from __future__ import annotations
 
 import gzip
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -31,6 +32,9 @@ VOX_OFFSET = 352
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
+# Bytes inflated past the declared payload, so that a member ending right after
+# it is read to its end and its CRC is checked; anything later is not inflated.
+_GZIP_MARGIN = 1 << 16
 
 # (name, format, shape) triples for the 348-byte NIfTI-1 header.
 _HEADER_FIELDS = [
@@ -277,22 +281,54 @@ def _decode_header(raw: bytes) -> tuple[np.void, str]:
     raise FormatError("cannot determine byte order: dim[0] not in [1, 7] either way")
 
 
+class _GzipStream:
+    """A gzip stream of one or more members, inflated only as far as it is read.
+
+    One inflater runs over each member, so the header can be read first and
+    the payload after it without inflating anything twice.  Input that ends
+    inside a member raises :class:`TruncatedFileError`; a corrupt stream,
+    including a bad CRC or trailing bytes that are not a gzip member, raises
+    :class:`FormatError`.
+    """
+
+    def __init__(self, raw: bytes):
+        self._member = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        self._pending = raw  # compressed input the current member has not taken
+
+    def read(self, n: int) -> bytes:
+        """The next ``n`` inflated bytes, or fewer where the stream ends."""
+        out, size = [], 0
+        n = min(n, sys.maxsize)  # zlib's bound is a C ssize_t; no stream is longer
+        try:
+            while size < n:
+                out.append(self._member.decompress(self._pending, n - size))
+                size += len(out[-1])
+                if self._member.eof:
+                    self._pending = self._member.unused_data
+                    if not self._pending:
+                        break
+                    self._member = zlib.decompressobj(16 + zlib.MAX_WBITS)
+                else:
+                    self._pending = self._member.unconsumed_tail
+                    if not out[-1] and not self._pending:
+                        raise TruncatedFileError("gzip stream ends early")
+        except zlib.error as exc:
+            raise FormatError(f"corrupt gzip stream: {exc}") from None
+        return b"".join(out)
+
+
 def parse_nifti(raw: bytes) -> Volume3D:
     """Decode a (possibly gzip-wrapped) NIfTI-1 byte sequence.
 
     Raises :class:`FormatError` for bad magic / NIfTI-2 / header-image pairs,
     :class:`UnsupportedDatatypeError` for datatype codes outside the scalar
     table, and :class:`TruncatedFileError` when the payload or the gzip
-    stream is short.  A corrupt gzip stream is a :class:`FormatError`.
+    stream is short.  A corrupt gzip stream is a :class:`FormatError`.  A
+    gzip stream is inflated only as far as the header declares: the header
+    first, then ``vox_offset`` plus the payload and a small margin.
     """
-    if raw[:2] == GZIP_MAGIC:
-        try:
-            raw = gzip.decompress(raw)
-        except EOFError as exc:
-            raise TruncatedFileError(f"gzip stream ends early: {exc}") from None
-        except (gzip.BadGzipFile, zlib.error) as exc:
-            raise FormatError(f"corrupt gzip stream: {exc}") from None
-    hdr, order = _decode_header(raw)
+    stream = _GzipStream(raw) if raw[:2] == GZIP_MAGIC else None
+    hdr, order = _decode_header(raw if stream is None else stream.read(HEADER_SIZE))
     magic = bytes(hdr["magic"]).ljust(4, b"\x00")  # numpy strips trailing NULs
     if magic == MAGIC_PAIR:
         raise FormatError("header/image pairs (.hdr/.img) are not supported")
@@ -323,16 +359,22 @@ def parse_nifti(raw: bytes) -> Volume3D:
         raise UnsupportedDatatypeError(f"unsupported NIfTI datatype code {code}")
     dtype = np.dtype(_DTYPE_BY_CODE[code]).newbyteorder(order)
 
-    offset = int(round(float(hdr["vox_offset"])))
+    vox_offset = float(hdr["vox_offset"])
+    if not np.isfinite(vox_offset):
+        raise FormatError(f"vox_offset {vox_offset} is not a number of bytes")
+    offset = int(round(vox_offset))
     if offset < HEADER_SIZE:
         raise FormatError(f"vox_offset {offset} overlaps the header")
     nbytes = int(np.prod(dims)) * dtype.itemsize
-    payload = raw[offset : offset + nbytes]
-    if len(payload) < nbytes:
-        raise TruncatedFileError(
-            f"payload holds {len(payload)} bytes, header declares {nbytes}"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
+    if stream is not None:  # the payload follows the header already read
+        raw = stream.read(offset - HEADER_SIZE + nbytes + _GZIP_MARGIN)
+        offset -= HEADER_SIZE
+    held = max(0, min(len(raw) - offset, nbytes))
+    if held < nbytes:
+        raise TruncatedFileError(f"payload holds {held} bytes, header declares {nbytes}")
+    # Read in place: a slice of ``raw`` would be one more copy of the payload.
+    data = np.frombuffer(raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset)
+    data = data.reshape(dims, order="F")
     data = data.astype(data.dtype.newbyteorder("="))
 
     slope = float(hdr["scl_slope"])

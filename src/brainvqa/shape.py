@@ -2,9 +2,13 @@
 
 Metrics per component: voxel volume, marching-cubes surface area, sphericity,
 compactness (area/volume), principal-axis elongation and flatness, and
-convex-hull solidity.  Aggregation keeps the core component's metrics when it
-dominates, otherwise averages; the category comes from fixed sphericity and
-elongation thresholds with a small-volume "focus" override.
+convex-hull solidity.  Both sums are canonical and build no mesh or float
+hull: the area is ``math.fsum`` of the component crop's marching-cubes case
+counts times each case's area (:func:`surface.surface_area`), and the hull
+volume is exact on the doubled voxel-corner lattice
+(:func:`hull.voxel_hull_volume`).  Aggregation keeps the core component's
+metrics when it dominates, otherwise averages; the category comes from fixed
+sphericity and elongation thresholds with a small-volume "focus" override.
 """
 from __future__ import annotations
 
@@ -13,9 +17,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GeometryError
-from .hull import convex_hull_volume, voxel_corner_points
+from .hull import voxel_hull_volume
 from .morphology import CORE_FRACTION_THRESHOLD, NOT_AVAILABLE, ComponentLabeling
-from .surface import marching_cubes, mesh_area, single_voxel_mesh
+from .surface import surface_area
 
 SHAPE_FOCUS = "focus"
 SHAPE_ROUND = "round"
@@ -87,7 +91,12 @@ def _regularized_axes(
 def shape_metrics(
     coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> ShapeMetrics:
-    """All shape metrics of one connected component given its voxel coords."""
+    """All shape metrics of one connected component given its voxel coords.
+
+    The area comes from the case counts of the component's bounding-box crop
+    and the solidity from the exact hull volume of its corners; a single voxel
+    takes the same path (its surface is the octahedron, its hull the cube).
+    """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if coords.shape[0] == 0:
         raise GeometryError("cannot compute shape metrics of an empty component")
@@ -95,15 +104,10 @@ def shape_metrics(
     dv = spacing[0] * spacing[1] * spacing[2]
     volume = coords.shape[0] * dv
 
-    if coords.shape[0] < 2:
-        mesh = single_voxel_mesh(tuple(coords[0]), spacing)
-    else:
-        offset = coords.min(axis=0)
-        local = coords - offset
-        mask = np.zeros(tuple(local.max(axis=0) + 1), dtype=np.uint8)
-        mask[local[:, 0], local[:, 1], local[:, 2]] = 1
-        mesh = marching_cubes(mask, spacing)
-    area = mesh_area(mesh)
+    local = coords - coords.min(axis=0)
+    mask = np.zeros(tuple(local.max(axis=0) + 1), dtype=bool)
+    mask[local[:, 0], local[:, 1], local[:, 2]] = True
+    area = surface_area(mask, spacing)
 
     lam = pca_axes(coords, spacing)
     if coords.shape[0] < 3 or lam[1] < _EIG_ZERO_TOL or lam[2] < _EIG_ZERO_TOL:
@@ -111,7 +115,7 @@ def shape_metrics(
     elongation = float(np.sqrt(lam[0] / lam[1]))
     flatness = float(np.sqrt(lam[2] / lam[1]))
 
-    hull_volume = convex_hull_volume(voxel_corner_points(coords, spacing))
+    hull_volume = voxel_hull_volume(coords, spacing)
     sphericity = float(np.pi ** (1.0 / 3.0) * (6.0 * volume) ** (2.0 / 3.0) / area)
     return ShapeMetrics(
         volume=volume,

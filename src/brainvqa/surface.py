@@ -6,9 +6,16 @@ vertex positions are scaled by the voxel spacing into millimeters.  The
 triangles of all active cells are gathered from the case table at once; each
 triangle corner is keyed by the grid edge it lies on (lower corner, axis), and
 ``np.unique`` welds equal keys into one vertex, numbered in order of first use.
+
+On a binary mask every vertex is an edge midpoint, so the surface area needs
+no mesh: :func:`surface_area` is ``math.fsum`` of the cells' case counts times
+:func:`case_area`, each case's triangle area at the given spacing.  It is the
+area that descriptors report; :func:`marching_cubes` serves mesh export.
 """
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -80,6 +87,54 @@ def cell_triangles(case: int) -> list[tuple[int, int, int]]:
     return tris
 
 
+def _cell_cases(inside: np.ndarray) -> np.ndarray:
+    """Case index of every cell of a padded boolean grid.
+
+    Bit i is set when cell corner i is background (below the iso-level),
+    matching the table convention.
+    """
+    nx, ny, nz = (s - 1 for s in inside.shape)
+    case = np.zeros((nx, ny, nz), dtype=np.int32)
+    for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
+        below = ~inside[ox : ox + nx, oy : oy + ny, oz : oz + nz]
+        case |= below.astype(np.int32) << bit
+    return case
+
+
+@functools.lru_cache(maxsize=16)
+def case_area(spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> np.ndarray:
+    """Surface area in mm^2 that each of the 256 cases puts in one cell.
+
+    On a binary mask at iso-level 0.5 every vertex is an edge midpoint, so a
+    case's triangles are the same in every cell; this is their summed area.
+    One read-only table is kept per spacing (a tuple), since every component
+    of a study shares it.
+    """
+    midpoints = (_EDGE_LO + 0.5 * np.eye(3)[_EDGE_AXIS]) * np.asarray(spacing, dtype=np.float64)
+    p, q, r = (midpoints[_CASE_TRIANGLES[:, :, k]] for k in range(3))  # (256, 5, 3) each
+    areas = 0.5 * np.linalg.norm(np.cross(q - p, r - p), axis=2)
+    table = np.where(_CASE_TRIANGLES[:, :, 0] >= 0, areas, 0.0).sum(axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def surface_area(
+    mask: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+) -> float:
+    """Area in mm^2 of the marching-cubes surface of a binary mask, without a mesh.
+
+    ``math.fsum`` of the case counts of the one-voxel zero-padded mask times
+    :func:`case_area`; it equals ``mesh_area(marching_cubes(mask, spacing))``
+    up to the rounding of that sum.
+    """
+    mask = np.asarray(mask)
+    if mask.ndim != 3:
+        raise GeometryError(f"mask must be 3D, got shape {mask.shape}")
+    case = _cell_cases(np.pad(mask != 0, 1))
+    counts = np.bincount(case.ravel(), minlength=256)
+    return math.fsum(counts * case_area(tuple(float(s) for s in spacing)))
+
+
 def marching_cubes(
     mask: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> SurfaceMesh:
@@ -97,14 +152,7 @@ def marching_cubes(
 
     grid = np.zeros(tuple(d + 2 for d in mask.shape), dtype=np.float64)
     grid[1:-1, 1:-1, 1:-1] = (mask != 0).astype(np.float64)
-
-    # Case index per cell: bit i set when corner i is below the iso-level
-    # (background), matching the table convention.
-    nx, ny, nz = (s - 1 for s in grid.shape)
-    case = np.zeros((nx, ny, nz), dtype=np.int32)
-    for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
-        below = grid[ox : ox + nx, oy : oy + ny, oz : oz + nz] < ISO_LEVEL
-        case |= below.astype(np.int32) << bit
+    case = _cell_cases(grid >= ISO_LEVEL)
 
     active = np.argwhere((case != 0) & (case != 255))
     tris = _CASE_TRIANGLES[case[tuple(active.T)]]  # (cells, 5, 3)

@@ -4,8 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from brainvqa.rng import stream
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# property test that fails in CI fails the same way when re-run.
+settings.register_profile("ci", derandomize=True)
 
 
 def digitized_sphere(radius: int, margin: int = 2) -> np.ndarray:

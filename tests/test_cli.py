@@ -15,6 +15,10 @@ from brainvqa.synthetic import write_fixture
 from conftest import edit_manifest
 
 GOLDEN = Path(__file__).parent / "data" / "golden_descriptors.jsonl"
+# The same corpus described with float-summed mesh areas and hull volumes,
+# before both became the canonical sums (case-count area, exact hull volume).
+GOLDEN_FLOAT_SUMS = Path(__file__).parent / "data" / "golden_descriptors_float_sums.jsonl"
+CANONICAL_SUM_FIELDS = ("area_mm2", "sphericity", "compactness", "solidity")
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +45,28 @@ class TestDescribe:
         out = tmp_path / "desc.jsonl"
         assert main(describe_args(fixture_dir, out)) == 0
         assert out.read_text() == GOLDEN.read_text()
+
+    def test_canonical_sums_move_only_their_fields(self):
+        """Against the float-sum descriptors: four fields within 1e-12, the rest identical."""
+        old = [json.loads(line) for line in GOLDEN_FLOAT_SUMS.read_text().splitlines()]
+        new = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+        assert len(new) == len(old) == 12
+        moved = 0
+        for before, after in zip(old, new):
+            metrics_before = before.pop("shape_metrics")
+            metrics_after = after.pop("shape_metrics")
+            assert after == before  # categories, counts, volumes, regions, warnings
+            if metrics_before is None:
+                assert metrics_after is None
+                continue
+            assert metrics_after.keys() == metrics_before.keys()
+            for key, value in metrics_before.items():
+                if key in CANONICAL_SUM_FIELDS:
+                    assert metrics_after[key] == pytest.approx(value, rel=1e-12, abs=0)
+                    moved += metrics_after[key] != value
+                else:
+                    assert json.dumps(metrics_after[key]) == json.dumps(value), key
+        assert moved > 0
 
     def test_rerun_byte_identical(self, fixture_dir, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -100,8 +126,31 @@ class TestDescribe:
         assert main(describe_args(root, out)) == 0
         failures = json.loads(Path(str(out) + ".failures.json").read_text())["failures"]
         assert [f["study_id"] for f in failures] == ["study_0001"]
+        expected = {"truncated": "TruncatedFileError", "corrupt": "FormatError"}[damage]
+        assert failures[0]["error_type"] == expected
+        assert "traceback" not in failures[0]
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert sorted({r["study_id"] for r in rows}) == ["study_0000", "study_0002"]
+        golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+        assert rows == [r for r in golden if r["study_id"] != "study_0001"]
+
+    def test_unexpected_error_in_one_study_is_recorded(self, fixture_dir, tmp_path,
+                                                       monkeypatch):
+        real = cli.compute_descriptors
+
+        def flaky(study_id, *args, **kwargs):
+            if study_id == "study_0001":
+                raise ValueError("geometry went wrong")
+            return real(study_id, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_descriptors", flaky)
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(fixture_dir, out, workers=2)) == 0
+        failures = json.loads(Path(str(out) + ".failures.json").read_text())["failures"]
+        assert [(f["study_id"], f["error_type"], f["error"]) for f in failures] == [
+            ("study_0001", "ValueError", "geometry went wrong")]
+        assert "ValueError: geometry went wrong" in failures[0]["traceback"]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
         golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
         assert rows == [r for r in golden if r["study_id"] != "study_0001"]
 

@@ -1,0 +1,178 @@
+"""Any bytes given to a reader end in a value or a BrainVQAError, in bounded memory.
+
+Covers ``parse_nifti`` (raw and gzip-wrapped), ``load_checkpoint`` and
+``parse_bank`` with arbitrary bytes and with mutations of valid inputs, plus
+gzip bombs and headers whose dims declare multi-GB payloads.
+"""
+from __future__ import annotations
+
+import gzip
+import struct
+import tempfile
+import tracemalloc
+import zlib
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brainvqa.errors import BrainVQAError, FormatError, TruncatedFileError
+from brainvqa.moe import init_moe_params, load_checkpoint, save_checkpoint
+from brainvqa.nifti import HEADER_SIZE, Volume3D, parse_nifti, write_nifti
+from brainvqa.templates import parse_bank
+
+VALID_NIFTI = write_nifti(
+    Volume3D.from_array(np.arange(60, dtype=np.int16).reshape(3, 4, 5), pixdim=(1.0, 1.5, 2.0))
+)
+BANK_TEXT = resources.files("brainvqa.data").joinpath("default_bank.txt").read_text("utf-8")
+
+
+def _valid_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.bin"
+        save_checkpoint(path, init_moe_params(0, n_experts=2, n_modalities=2, d_image=3,
+                                              d_text=4, hidden=2))
+        return path.read_bytes()
+
+
+VALID_CHECKPOINT = _valid_checkpoint()
+
+
+def gzip_members(*parts: bytes) -> bytes:
+    return b"".join(gzip.compress(p, mtime=0) for p in parts)
+
+
+def header_declaring(dims, datatype=64, bitpix=64) -> bytes:
+    """A valid single-file header for ``dims`` (float64 by default) and no payload."""
+    raw = bytearray(VALID_NIFTI[:352])
+    struct.pack_into("<8h", raw, 40, 3, *dims, 1, 1, 1, 1)
+    struct.pack_into("<hh", raw, 70, datatype, bitpix)
+    return bytes(raw)
+
+
+def peak_mb(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    return peak
+
+
+def ends_in_value_or_error(fn, *args) -> None:
+    try:
+        fn(*args)
+    except BrainVQAError:
+        pass
+
+
+@st.composite
+def mutated(draw, valid: bytes, region: int | None = None):
+    """``valid`` with a few bytes overwritten (within the first ``region`` bytes) and maybe cut."""
+    raw = bytearray(valid)
+    span = len(raw) if region is None else region
+    for _ in range(draw(st.integers(1, 6))):
+        raw[draw(st.integers(0, span - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        raw = raw[: draw(st.integers(0, len(raw)))]
+    return bytes(raw)
+
+
+class TestNiftiBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=800))
+    def test_arbitrary_bytes(self, raw):
+        ends_in_value_or_error(parse_nifti, raw)
+        ends_in_value_or_error(parse_nifti, gzip.compress(raw, mtime=0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated(VALID_NIFTI, region=HEADER_SIZE))
+    def test_mutated_headers(self, raw):
+        ends_in_value_or_error(parse_nifti, raw)
+        ends_in_value_or_error(parse_nifti, gzip.compress(raw, mtime=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated(gzip.compress(VALID_NIFTI, mtime=0)))
+    def test_mutated_gzip_streams(self, raw):
+        ends_in_value_or_error(parse_nifti, raw)
+
+    @pytest.mark.parametrize("dims", [(32767, 32767, 32767), (2048, 2048, 1024), (1, 1, 30000)])
+    def test_multi_gb_header_is_truncated_without_allocating(self, dims):
+        raw = header_declaring(dims) + b"\x00" * 64
+        for data in (raw, gzip.compress(raw, mtime=0)):
+            with pytest.raises(TruncatedFileError):
+                parse_nifti(data)
+            assert peak_mb(ends_in_value_or_error, parse_nifti, data) < 1.0
+
+    @pytest.mark.parametrize("vox_offset", [1e38, 2.0**63])
+    def test_vox_offset_past_any_stream_is_truncated(self, vox_offset):
+        raw = bytearray(VALID_NIFTI)
+        struct.pack_into("<f", raw, 108, vox_offset)
+        for data in (bytes(raw), gzip.compress(bytes(raw), mtime=0)):
+            with pytest.raises(TruncatedFileError):
+                parse_nifti(data)
+
+    @pytest.mark.parametrize("vox_offset", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_vox_offset_is_format_error(self, vox_offset):
+        raw = bytearray(VALID_NIFTI)
+        struct.pack_into("<f", raw, 108, vox_offset)
+        with pytest.raises(FormatError, match="vox_offset"):
+            parse_nifti(bytes(raw))
+
+    def test_gzip_bomb_inflates_only_the_declared_size(self):
+        one_voxel = write_nifti(Volume3D.from_array(np.full((1, 1, 1), 7, dtype=np.int16)))
+        packer = zlib.compressobj(9, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+        chunks = [packer.compress(one_voxel)]
+        zeros = bytes(1 << 20)
+        chunks += [packer.compress(zeros) for _ in range(64)]
+        bomb = b"".join(chunks) + packer.flush()
+        assert len(bomb) < 1 << 20
+        assert peak_mb(parse_nifti, bomb) < 8.0
+        assert parse_nifti(bomb).data.tolist() == [[[7]]]
+
+    def test_members_are_read_across(self):
+        split = gzip_members(VALID_NIFTI[:100], VALID_NIFTI[100:400], VALID_NIFTI[400:])
+        assert np.array_equal(parse_nifti(split).data, parse_nifti(VALID_NIFTI).data)
+
+    def test_trailing_garbage_after_the_member_is_format_error(self):
+        with pytest.raises(FormatError):
+            parse_nifti(gzip.compress(VALID_NIFTI, mtime=0) + b"not gzip")
+
+    def test_stream_cut_after_the_payload_is_truncated(self):
+        with pytest.raises(TruncatedFileError):
+            parse_nifti(gzip.compress(VALID_NIFTI, mtime=0)[:-8])
+
+
+class TestCheckpointBytes:
+    @staticmethod
+    def load(raw: bytes) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.bin"
+            path.write_bytes(raw)
+            load_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=400))
+    def test_arbitrary_bytes(self, raw):
+        ends_in_value_or_error(self.load, raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated(VALID_CHECKPOINT))
+    def test_mutated_checkpoints(self, raw):
+        ends_in_value_or_error(self.load, raw)
+
+
+class TestBankText:
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(max_size=400))
+    def test_arbitrary_text(self, text):
+        ends_in_value_or_error(parse_bank, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutated(BANK_TEXT.encode("utf-8")))
+    def test_mutated_banks(self, raw):
+        ends_in_value_or_error(parse_bank, raw.decode("utf-8", errors="replace"))

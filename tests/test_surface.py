@@ -8,12 +8,14 @@ from brainvqa.surface import (
     CORNER_OFFSETS,
     EDGE_CORNERS,
     SurfaceMesh,
+    case_area,
     cell_triangles,
     is_closed,
     is_orientable,
     marching_cubes,
     mesh_area,
     single_voxel_mesh,
+    surface_area,
     triangle_areas,
     write_off,
 )
@@ -46,6 +48,37 @@ class TestMeshArea:
         )
         tris = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 3], [0, 2, 3]])
         assert mesh_area(SurfaceMesh(verts, tris)) == pytest.approx(np.sqrt(3), abs=1e-12)
+
+
+class TestSurfaceArea:
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.0, 1.3), (2.0, 0.5, 0.25)])
+    def test_equals_the_mesh_area(self, spacing):
+        for seed in range(20):
+            mask = random_blob(seed, dims=(7, 9, 8), density=0.4)
+            if not mask.any():
+                continue
+            mesh = mesh_area(marching_cubes(mask, spacing))
+            assert surface_area(mask, spacing) == pytest.approx(mesh, rel=1e-12, abs=0)
+
+    def test_single_voxel_is_the_octahedron(self):
+        want = mesh_area(single_voxel_mesh((0, 0, 0), (1, 2, 3)))
+        assert surface_area(np.ones((1, 1, 1)), (1, 2, 3)) == pytest.approx(want, rel=1e-15)
+
+    def test_case_areas(self):
+        areas = case_area((1.0, 1.0, 1.0))
+        assert areas.shape == (256,)
+        assert areas[0] == areas[255] == 0.0
+        assert areas[1] == pytest.approx(np.sqrt(3) / 8)  # one corner cut off
+        assert areas[3] == pytest.approx(np.sqrt(2) / 2)  # one edge: a slanted rectangle
+        assert areas[15] == pytest.approx(1.0)  # one face: the mid-plane square
+        assert (areas[1:255] > 0).all()
+
+    def test_empty_mask_has_no_area(self):
+        assert surface_area(np.zeros((2, 3, 4))) == 0.0
+
+    def test_rejects_non_3d(self):
+        with pytest.raises(GeometryError):
+            surface_area(np.ones((3, 3)))
 
 
 class TestMarchingCubes:

@@ -92,8 +92,8 @@ def _read_jsonl(path, parse) -> list:
     """``parse`` applied to every non-blank line of a UTF-8 JSONL file.
 
     A line that is not UTF-8 JSON, lacks a key, or holds a value ``parse``
-    rejects (``TypeError``, ``ValueError``) raises FormatError naming the file
-    and line.
+    rejects (``TypeError``, ``ValueError``, or ``OverflowError`` for an
+    infinite count) raises FormatError naming the file and line.
     """
     items = []
     with open(path, "rb") as fh:
@@ -104,7 +104,7 @@ def _read_jsonl(path, parse) -> list:
                     items.append(parse(line))
             except KeyError as exc:
                 raise FormatError(f"{path}:{lineno}: missing key {exc}") from None
-            except (ValueError, TypeError, AttributeError, RecursionError) as exc:
+            except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
     return items
 
@@ -168,12 +168,21 @@ def _describe_study(study_dir: Path, labels, atlas, args):
 
 
 def _export_meshes(study_id: str, mask: LabelMask, spacing, out_dir: Path) -> None:
+    """One OFF mesh per present label, meshed on its bounding-box crop.
+
+    At unit spacing the vertices are half-integers, so shifting then scaling is exact.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
+    split = mask.label_coords()
     for label, name in sorted(mask.label_names.items()):
-        binary = mask.binary(label)
-        if not binary.any():
+        coords = split[label]
+        if coords.shape[0] == 0:
             continue
-        mesh = marching_cubes(binary, spacing)
+        lo = coords.min(axis=0)
+        crop = np.zeros(tuple(coords.max(axis=0) - lo + 1), dtype=bool)
+        crop[tuple((coords - lo).T)] = True
+        mesh = marching_cubes(crop)
+        mesh.vertices = (mesh.vertices + lo) * np.asarray(spacing, dtype=np.float64)
         stem = name.replace(" ", "_").replace("/", "-")
         write_off(mesh, out_dir / f"{study_id}_{stem}.off")
 

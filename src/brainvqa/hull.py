@@ -36,24 +36,13 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def convex_hull_volume(points: np.ndarray) -> float:
-    """Volume of the convex hull of a 3D point cloud."""
-    faces, pts, interior = quickhull(points)
-    a = pts[faces[:, 0]] - interior
-    b = pts[faces[:, 1]] - interior
-    c = pts[faces[:, 2]] - interior
-    signed = np.einsum("ij,ij->i", a, _cross(b, c)) / 6.0
-    return float(signed.sum())
-
-
 def voxel_hull_volume(
     coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> float:
     """Exact volume of the convex hull of a voxel set's corners, in mm^3.
 
-    Equals ``convex_hull_volume(voxel_corner_points(coords, spacing))`` up
-    to the rounding of that float sum; this value is the exact lattice volume
-    rounded once.
+    Equals the float volume of the hull of every voxel corner up to the
+    rounding of that sum; this value is the exact lattice volume rounded once.
     """
     corners = _corner_candidates(coords)
     # Shifted to the origin, a lattice point off a facet plane is at least
@@ -208,16 +197,3 @@ def _initial_simplex(pts: np.ndarray, eps: float) -> list[int]:
         raise DegenerateHullError("points are coplanar")
     return [lo, hi, third, fourth]
 
-
-def voxel_corner_points(
-    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> np.ndarray:
-    """Corner lattice of a voxel set: centers +/- half a voxel per axis.
-
-    Feeding corners (not centers) to the hull makes a single voxel a proper
-    cube of volume dx*dy*dz and removes the coplanar-failure class entirely.
-    """
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    doubled = 2 * coords[:, None, :] + _CORNER_SIGNS
-    corners = np.unique(doubled.reshape(-1, 3), axis=0)
-    return corners * (np.asarray(spacing, dtype=np.float64) / 2.0)

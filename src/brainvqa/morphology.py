@@ -5,11 +5,12 @@ numbered by decreasing voxel count, ties broken by the lowest first-voxel
 linear index (first axis fastest), so the core component is always index 0
 and outputs are deterministic.
 
-Labeling is array code over the foreground only: voxels get a dense index
-inside their bounding box padded by one voxel, the 13 half-neighborhood
-offsets list every adjacent voxel pair once, and the larger root of each
-disagreeing pair is hooked onto the smaller (``np.minimum.at``) with pointer
-jumping in between until every pair agrees (Shiloach & Vishkin 1982).
+Labeling is array code over a label's voxel coordinates from the study's one
+label split (no full grid): they get a dense index inside their bounding box
+padded by one voxel, the 13 half-neighborhood offsets list every adjacent
+voxel pair once, and the larger root of each disagreeing pair is hooked onto
+the smaller (``np.minimum.at``) with pointer jumping in between until every
+pair agrees (Shiloach & Vishkin 1982).
 """
 from __future__ import annotations
 
@@ -37,13 +38,12 @@ _HALF_OFFSETS = [
 
 @dataclass
 class ComponentLabeling:
-    """Partition of a binary mask into 26-connected components.
+    """Partition of a voxel set into 26-connected components.
 
-    ``component_id`` holds 0 for background and ``i + 1`` for the component at
-    list index ``i``; ``component_coords[i]`` is an (n_i, 3) voxel index array.
+    ``component_coords[i]`` is the (n_i, 3) voxel index array of the component
+    at list index ``i``, its voxels in input order.
     """
 
-    component_id: np.ndarray
     component_voxels: list[int]
     component_volumes: list[float]
     component_coords: list[np.ndarray]
@@ -80,28 +80,28 @@ class SpreadDescriptor:
 
 
 def connected_components(
-    mask: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> ComponentLabeling:
-    """Label the 26-connected components of a binary mask.
+    """Label the 26-connected components of a set of distinct voxels.
 
-    An empty mask yields an empty labeling with ``n_components == 0``
-    (downstream maps it to N/A); it is not an error.
+    ``coords`` is an (n, 3) integer array of voxel indices.  No voxels yield
+    an empty labeling with ``n_components == 0`` (downstream maps it to N/A);
+    it is not an error.
     """
-    mask = np.asarray(mask)
-    if mask.ndim != 3:
-        raise ValueError(f"mask must be 3D, got shape {mask.shape}")
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise ValueError(f"coords must index a 3D grid as (n, 3), got shape {coords.shape}")
     dv = float(spacing[0] * spacing[1] * spacing[2])
-    coords = np.argwhere(mask != 0)
-    labeling = np.zeros(mask.shape, dtype=np.int32)
     n = coords.shape[0]
     if n == 0:
-        return ComponentLabeling(labeling, [], [], [], dv)
+        return ComponentLabeling([], [], [], dv)
 
-    # Dense voxel index over the foreground bounding box padded by one voxel,
-    # so every neighbor lookup stays inside the box; -1 marks background.
+    # Dense voxel index over the bounding box padded by one voxel, so every
+    # neighbor lookup stays inside the box; -1 marks background.
     lo = coords.min(axis=0) - 1
     box = tuple(coords.max(axis=0) - lo + 2)
-    flat = np.ravel_multi_index((coords - lo).T, box)
+    local = (coords - lo).T
+    flat = np.ravel_multi_index(local, box)
     index = np.full(int(np.prod(box)), -1, dtype=np.int64)
     index[flat] = np.arange(n)
     steps = np.array(_HALF_OFFSETS) @ (box[1] * box[2], box[2], 1)
@@ -124,20 +124,20 @@ def connected_components(
             label = up
 
     # Deterministic ordering: decreasing size, ties by lowest first-voxel
-    # linear index (first axis fastest, matching the volume layout).
+    # linear index (first axis fastest, matching the volume layout; the box
+    # index orders voxels as the grid index does).
     _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    linear = np.ravel_multi_index(coords.T, mask.shape, order="F")
+    linear = np.ravel_multi_index(local, box, order="F")
     first = np.full(sizes.size, linear.max())
     np.minimum.at(first, comp, linear)
     order = np.lexsort((first, -sizes))
     new_id = np.argsort(order)[comp]
-    labeling[tuple(coords.T)] = new_id + 1
 
     sizes = sizes[order]
     members = coords[np.argsort(new_id, kind="stable")]
     coord_lists = np.split(members, np.cumsum(sizes)[:-1])
     voxels = sizes.tolist()
-    return ComponentLabeling(labeling, voxels, [v * dv for v in voxels], coord_lists, dv)
+    return ComponentLabeling(voxels, [v * dv for v in voxels], coord_lists, dv)
 
 
 def spread_classify(labeling: ComponentLabeling) -> SpreadDescriptor:
@@ -145,7 +145,7 @@ def spread_classify(labeling: ComponentLabeling) -> SpreadDescriptor:
 
     One component is a single lesion; multiple components where the largest
     holds at least 70% of the volume are a core with satellites; anything
-    else is scattered.  Empty masks are N/A.
+    else is scattered.  An empty voxel set is N/A.
     """
     n = labeling.n_components
     if n == 0:

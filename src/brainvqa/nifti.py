@@ -7,7 +7,8 @@ on-disk order, so downstream geometry never branches on layout.
 
 Affine priority follows the de-facto standard readers: srow fields when
 ``sform_code > 0``, else the quaternion fields when ``qform_code > 0``, else a
-diagonal built from pixdim.
+diagonal built from pixdim.  Descriptor stages get a label volume as voxel
+coordinates, from one split per study (:meth:`LabelMask.label_coords`).
 """
 from __future__ import annotations
 
@@ -209,8 +210,21 @@ class LabelMask:
         values = np.unique(self.volume.data)
         return {int(v) for v in values if v != 0}
 
-    def binary(self, label: int) -> np.ndarray:
-        return (self.volume.data == label).astype(np.uint8)
+    def label_coords(self) -> dict[int, np.ndarray]:
+        """Every named label's ``np.argwhere(data == label)``, from one split.
+
+        One ``np.flatnonzero`` and a stable ``argsort`` by label value keep
+        each label's (n, 3) int64 indices in C order; an absent label gets (0, 3).
+        """
+        data = self.volume.data
+        flat = np.flatnonzero(data)
+        flat = flat[np.argsort(data.ravel()[flat], kind="stable")]
+        coords = np.column_stack(np.unravel_index(flat, data.shape))
+        present, starts = np.unique(data.ravel()[flat], return_index=True)
+        split = dict(zip(present.tolist(), np.split(coords, starts[1:])))
+        if 0 in self.label_names:  # the background, which the split leaves out
+            split[0] = np.argwhere(data == 0)
+        return {label: split.get(label, coords[:0]) for label in self.label_names}
 
 
 def orientation_code(affine: np.ndarray) -> str:

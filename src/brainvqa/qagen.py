@@ -89,24 +89,27 @@ def compute_descriptors(
 ) -> list[TaskDescriptors]:
     """Run the full geometry pipeline for every configured label.
 
-    All inputs must already be conformed onto the same RAS grid.  A label
+    All inputs must already be conformed onto the same RAS grid.  Every stage
+    takes a label's voxel coordinates from one split of the mask; a label
     with zero voxels yields the all-N/A descriptor rather than an error.
     """
-    if brain.header.dims != mask.volume.header.dims:
-        raise GeometryError(
-            f"brain grid {brain.header.dims} != mask grid {mask.volume.header.dims}"
-        )
+    grid = mask.volume.header.dims
+    for what, dims in (("brain", brain.header.dims), ("atlas", atlas.labels.volume.header.dims)):
+        if dims != grid:
+            raise GeometryError(f"{what} grid {dims} != mask grid {grid}")
     spacing = mask.volume.header.pixdim
+    brain_voxels = int(np.count_nonzero(brain.data))
+    split = mask.label_coords()
     out = []
     for label in sorted(mask.label_names):
         name = mask.label_names[label]
-        binary = mask.binary(label)
-        if not binary.any():
+        coords = split[label]
+        if coords.shape[0] == 0:
             out.append(TaskDescriptors(study_id, name, None, None, None, None))
             continue
-        vb = volume_bin(relative_volume(binary, brain))
-        assignment = region_overlap(binary, atlas, min_overlap_voxels)
-        labeling = connected_components(binary, spacing)
+        vb = volume_bin(relative_volume(coords.shape[0], brain_voxels))
+        assignment = region_overlap(coords, atlas, min_overlap_voxels)
+        labeling = connected_components(coords, spacing)
         spread = spread_classify(labeling)
         category, agg = describe_shape(labeling, spacing)
         warnings = ["volume fraction above 75%, clamped"] if vb.clamped else []

@@ -1,8 +1,9 @@
 """Relative lesion volume binning and atlas-based region assignment.
 
-Both operations require mask and reference on the same RAS grid; the atlas is
-pluggable (any label volume plus an integer-to-region-name map over the fixed
-nine-name vocabulary).
+Both take a label from the study's one label split
+(:meth:`nifti.LabelMask.label_coords`): its voxel count, or its voxel
+coordinates on the atlas's RAS grid.  The atlas is pluggable (any label
+volume plus an integer-to-region-name map over the fixed nine-name vocabulary).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .morphology import NOT_AVAILABLE
-from .nifti import LabelMask, Volume3D
+from .nifti import LabelMask
 
 REGION_NAMES = (
     "frontal",
@@ -75,24 +76,11 @@ def load_region_map(path) -> dict[int, str]:
         raise ConfigError(f"region map {path} must map integer labels to names") from exc
 
 
-def _require_same_grid(a: Volume3D, b: Volume3D, what: str) -> None:
-    if a.header.dims != b.header.dims:
-        raise GeometryError(f"{what}: grids differ, {a.header.dims} vs {b.header.dims}")
-    if not np.allclose(a.header.affine, b.header.affine, atol=1e-6):
-        raise GeometryError(f"{what}: affines differ; conform both volumes first")
-
-
-def relative_volume(mask: np.ndarray, brain: Volume3D) -> float:
-    """Foreground voxel count of the mask divided by nonzero brain voxels."""
-    mask = np.asarray(mask)
-    if mask.shape != brain.header.dims:
-        raise GeometryError(
-            f"mask shape {mask.shape} does not match brain grid {brain.header.dims}"
-        )
-    brain_voxels = int(np.count_nonzero(brain.data))
+def relative_volume(voxels: int, brain_voxels: int) -> float:
+    """A label's voxel count divided by the count of nonzero brain voxels."""
     if brain_voxels == 0:
         raise GeometryError("brain volume has no nonzero voxels; fraction undefined")
-    return float(np.count_nonzero(mask)) / brain_voxels
+    return float(voxels) / brain_voxels
 
 
 def volume_bin(fraction: float) -> VolumeBin:
@@ -108,30 +96,25 @@ def volume_bin(fraction: float) -> VolumeBin:
 
 
 def region_overlap(
-    mask: np.ndarray,
+    coords: np.ndarray,
     atlas: Atlas,
     min_overlap_voxels: int = DEFAULT_MIN_OVERLAP_VOXELS,
 ) -> RegionAssignment | None:
-    """Regions whose atlas labels intersect the mask in >= the voxel floor.
+    """Regions whose atlas labels hold >= the voxel floor of the (n, 3) voxels.
 
-    Returns None (N/A) for an empty mask.  Ordering is descending overlap
-    count with alphabetical ties so rendered text is deterministic.
+    Returns None (N/A) for no voxels.  Ordering is descending overlap count
+    with alphabetical ties so rendered text is deterministic.
     """
-    mask = np.asarray(mask)
-    if mask.shape != atlas.labels.volume.header.dims:
-        raise GeometryError(
-            f"mask shape {mask.shape} does not match atlas grid "
-            f"{atlas.labels.volume.header.dims}"
-        )
-    if not (mask != 0).any():
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.shape[0] == 0:
         return None
-    overlapped = atlas.labels.volume.data[mask != 0]
-    counts_by_label = np.bincount(overlapped.astype(np.int64).ravel())
+    dims = atlas.labels.volume.header.dims
+    if coords.min() < 0 or (coords.max(axis=0) >= dims).any():
+        raise GeometryError(f"voxel coordinates fall outside the atlas grid {dims}")
+    overlapped = atlas.labels.volume.data[tuple(coords.T)]
     counts: dict[str, int] = {}
-    for label, count in enumerate(counts_by_label):
-        if label == 0 or count == 0:
-            continue
-        name = atlas.region_map.get(label)
+    for label, count in zip(*np.unique(overlapped[overlapped != 0], return_counts=True)):
+        name = atlas.region_map.get(int(label))
         if name is not None:
             counts[name] = counts.get(name, 0) + int(count)
     kept = {name: c for name, c in counts.items() if c >= min_overlap_voxels}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,34 +181,6 @@ def marching_cubes(
     return mesh
 
 
-def single_voxel_mesh(
-    center_index: tuple[int, int, int], spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> SurfaceMesh:
-    """Analytic octahedral iso-surface of one voxel.
-
-    Identical to the lookup-table output for an isolated voxel; used as the
-    fast path for single-voxel components.
-    """
-    c = np.asarray(center_index, dtype=np.float64) * np.asarray(spacing, dtype=np.float64)
-    h = 0.5 * np.asarray(spacing, dtype=np.float64)
-    verts = np.array(
-        [
-            c + [h[0], 0, 0], c - [h[0], 0, 0],
-            c + [0, h[1], 0], c - [0, h[1], 0],
-            c + [0, 0, h[2]], c - [0, 0, h[2]],
-        ]
-    )
-    xp, xm, yp, ym, zp, zm = range(6)
-    tris = np.array(
-        [
-            (xp, yp, zp), (yp, xm, zp), (xm, ym, zp), (ym, xp, zp),
-            (yp, xp, zm), (xm, yp, zm), (ym, xm, zm), (xp, ym, zm),
-        ],
-        dtype=np.int64,
-    )
-    return SurfaceMesh(verts, tris)
-
-
 def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
     p = mesh.vertices[mesh.triangles[:, 0]]
     q = mesh.vertices[mesh.triangles[:, 1]]
@@ -221,32 +192,6 @@ def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
 def mesh_area(mesh: SurfaceMesh) -> float:
     """Total surface area in mm^2 (half cross-product magnitude per triangle)."""
     return float(triangle_areas(mesh).sum())
-
-
-def edge_incidence(mesh: SurfaceMesh) -> Counter:
-    """Count how many triangles share each undirected edge."""
-    counts: Counter = Counter()
-    for a, b, c in mesh.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            counts[(min(u, v), max(u, v))] += 1
-    return counts
-
-
-def is_closed(mesh: SurfaceMesh) -> bool:
-    """True when every undirected edge is shared by exactly two triangles."""
-    counts = edge_incidence(mesh)
-    return bool(counts) and all(n == 2 for n in counts.values())
-
-
-def is_orientable(mesh: SurfaceMesh) -> bool:
-    """True when every directed edge appears exactly once (consistent winding)."""
-    seen = set()
-    for a, b, c in mesh.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (u, v) in seen:
-                return False
-            seen.add((u, v))
-    return True
 
 
 def write_off(mesh: SurfaceMesh, path) -> None:

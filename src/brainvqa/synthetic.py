@@ -49,12 +49,6 @@ def sphere_mask(dims, center, radius) -> np.ndarray:
     return (dist2 <= radius * radius).astype(np.uint8)
 
 
-def ellipsoid_mask(dims, center, semi_axes) -> np.ndarray:
-    grids = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
-    dist2 = sum(((g - c) / a) ** 2 for g, c, a in zip(grids, center, semi_axes))
-    return (dist2 <= 1.0).astype(np.uint8)
-
-
 def demo_study(
     study_id: str,
     seed: int,

@@ -42,10 +42,6 @@ class TemplateBank:
     full_oos: list[Template]
     provenance: str = ""
 
-    def by_kind(self, kind: str) -> list[Template]:
-        return {"multitask": self.multitask, "partial_oos": self.partial_oos,
-                "full_oos": self.full_oos}[kind]
-
 
 def _placeholders(text: str) -> set[str]:
     return set(_PLACEHOLDER_RE.findall(text))

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from brainvqa.cli import main
-from brainvqa.hull import convex_hull_volume, voxel_corner_points
 from brainvqa.metrics import (
     PredictionRecord,
     bootstrap_std,
@@ -45,7 +44,7 @@ from brainvqa.regions import RegionAssignment, VolumeBin
 from brainvqa.morphology import SpreadDescriptor
 from brainvqa.rng import stream
 from brainvqa.shape import describe_shape, shape_metrics
-from brainvqa.surface import is_closed, marching_cubes, mesh_area
+from brainvqa.surface import marching_cubes, mesh_area
 from brainvqa.templates import TASKS, UNSPECIFIED, default_bank
 from brainvqa.training import (
     evaluate,
@@ -55,6 +54,7 @@ from brainvqa.training import (
     train_toy,
 )
 from conftest import digitized_ellipsoid, digitized_sphere, random_blob
+from geometry_helpers import convex_hull_volume, is_closed, voxel_corner_points
 from test_morphology import bfs_components, partition_of
 
 
@@ -129,12 +129,12 @@ def test_criterion_02_protocol_coverage():
 def test_criterion_03_geometry_categories():
     started = time.time()
     sphere = digitized_sphere(10)
-    category, agg = describe_shape(connected_components(sphere))
+    category, agg = describe_shape(connected_components(np.argwhere(sphere)))
     assert category == "round", f"sphere classified {category}"
     assert agg.elongation <= 1.05
 
     ellipsoid = digitized_ellipsoid((30, 8, 8))
-    category_e, agg_e = describe_shape(connected_components(ellipsoid))
+    category_e, agg_e = describe_shape(connected_components(np.argwhere(ellipsoid)))
     assert abs(agg_e.elongation - 3.75) / 3.75 <= 0.10, agg_e.elongation
     assert category_e == "elongated"
 
@@ -142,14 +142,14 @@ def test_criterion_03_geometry_categories():
     core_sat[0:4, 0:4, 0:5] = 1  # 80 voxels
     core_sat[8:11, 0:5, 0:1] = 1  # 15
     core_sat[14:15, 0:5, 0:1] = 1  # 5
-    spread = spread_classify(connected_components(core_sat))
+    spread = spread_classify(connected_components(np.argwhere(core_sat)))
     assert spread.core_fraction == pytest.approx(0.8)
     assert spread.category == SPREAD_CORE_SATELLITES
 
     scattered = np.zeros((20, 6, 6))
     scattered[0:3, 0:4, 0:5] = 1  # 60
     scattered[6:8, 0:4, 0:5] = 1  # 40
-    spread2 = spread_classify(connected_components(scattered))
+    spread2 = spread_classify(connected_components(np.argwhere(scattered)))
     assert spread2.core_fraction == pytest.approx(0.6)
     assert spread2.category == SPREAD_SCATTERED
     elapsed = time.time() - started
@@ -236,7 +236,7 @@ def test_criterion_05_convex_hull():
 def test_criterion_06_connected_components_oracle():
     for seed in range(200):
         mask = random_blob(seed + 333, dims=(16, 16, 16), density=0.35)
-        mine = partition_of(connected_components(mask))
+        mine = partition_of(connected_components(np.argwhere(mask)))
         oracle = {frozenset(g) for g in bfs_components(mask)}
         assert mine == oracle, f"partition mismatch at seed {seed}"
     announce("criterion 6 connected components", "200/200 partitions equal BFS oracle")

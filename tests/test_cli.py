@@ -10,7 +10,9 @@ import pytest
 from brainvqa import cli
 from brainvqa.cli import EXIT_NUMERIC, main
 from brainvqa.moe import MoEParams, init_moe_params, save_checkpoint
+from brainvqa.nifti import LabelMask, Volume3D
 from brainvqa.qagen import record_from_json
+from brainvqa.surface import marching_cubes, write_off
 from brainvqa.synthetic import write_fixture
 from conftest import edit_manifest
 
@@ -97,6 +99,18 @@ class TestDescribe:
             assert row["regions"] == "N/A"
             assert row["shape"] == "N/A"
             assert row["spread"] == "N/A"
+
+    def test_mesh_export_of_the_crop_equals_the_full_grid_mesh(self, tmp_path):
+        seg = np.zeros((30, 26, 22), dtype=np.int16)
+        seg[17:24, 11:19, 9:20] = 3
+        seg[19:22, 13:16, 12:15] = 0  # a cavity
+        seg[25, 20, 18] = 3  # a satellite voxel
+        spacing = (1.0, 1.3, 0.7)
+        cli._export_meshes("s", LabelMask(Volume3D.from_array(seg), {3: "lesion"}), spacing,
+                           tmp_path / "crop")
+        write_off(marching_cubes(seg == 3, spacing), tmp_path / "full.off")
+        assert (tmp_path / "crop" / "s_lesion.off").read_bytes() == (
+            tmp_path / "full.off").read_bytes()
 
     def test_mesh_out_writes_off_files(self, fixture_dir, tmp_path):
         out = tmp_path / "desc.jsonl"
@@ -365,6 +379,12 @@ class TestMalformedJsonl:
 
     def test_generate_descriptor_without_label_name(self, tmp_path, capsys):
         bad = self.damaged(GOLDEN, tmp_path, self.without(GOLDEN, "label_name"))
+        self.assert_exit_3_at_line_3(["generate", "--descriptors", str(bad), "--seed", "1",
+                                      "--out", str(tmp_path / "o.jsonl")], bad, capsys)
+
+    def test_generate_descriptor_with_infinite_count(self, tmp_path, capsys):
+        row = json.loads(GOLDEN.read_text().splitlines()[0])
+        bad = self.damaged(GOLDEN, tmp_path, json.dumps({**row, "n_components": float("inf")}))
         self.assert_exit_3_at_line_3(["generate", "--descriptors", str(bad), "--seed", "1",
                                       "--out", str(tmp_path / "o.jsonl")], bad, capsys)
 

@@ -1,12 +1,15 @@
 """Any bytes given to a reader end in a value or a BrainVQAError, in bounded memory.
 
-Covers ``parse_nifti`` (raw and gzip-wrapped), ``load_checkpoint`` and
-``parse_bank`` with arbitrary bytes and with mutations of valid inputs, plus
-gzip bombs and headers whose dims declare multi-GB payloads.
+Covers ``parse_nifti`` (raw and gzip-wrapped), ``load_checkpoint``,
+``parse_bank`` and the JSONL readers (descriptors, dataset records,
+predictions) with arbitrary bytes and with mutations of valid inputs, plus
+gzip bombs and headers whose dims declare multi-GB payloads.  A JSONL reader
+must end in a value or a FormatError, which the CLI maps to exit code 3.
 """
 from __future__ import annotations
 
 import gzip
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -19,10 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brainvqa import cli
 from brainvqa.errors import BrainVQAError, FormatError, TruncatedFileError
 from brainvqa.moe import init_moe_params, load_checkpoint, save_checkpoint
 from brainvqa.nifti import HEADER_SIZE, Volume3D, parse_nifti, write_nifti
-from brainvqa.templates import parse_bank
+from brainvqa.qagen import descriptor_from_json, record_from_json, record_to_json, sample_questions
+from brainvqa.templates import default_bank, parse_bank
 
 VALID_NIFTI = write_nifti(
     Volume3D.from_array(np.arange(60, dtype=np.int16).reshape(3, 4, 5), pixdim=(1.0, 1.5, 2.0))
@@ -176,3 +181,92 @@ class TestBankText:
     @given(mutated(BANK_TEXT.encode("utf-8")))
     def test_mutated_banks(self, raw):
         ends_in_value_or_error(parse_bank, raw.decode("utf-8", errors="replace"))
+
+
+GOLDEN_LINES = (Path(__file__).parent / "data" / "golden_descriptors.jsonl").read_text(
+    "utf-8"
+).splitlines()
+DESCRIPTOR_LINES = (
+    GOLDEN_LINES[0],
+    next(line for line in GOLDEN_LINES if '"volume_bin":"N/A"' in line),
+)
+RECORD_LINE = record_to_json(
+    sample_questions(descriptor_from_json(GOLDEN_LINES[0]), default_bank(), 0)[0]
+)
+PREDICTION_LINE = json.dumps({"id": "study_0000/Enhancing Tissue/0", "volume": "1-5%",
+                              "regions": ["frontal"], "shape": "round",
+                              "spread": "single lesion", "oos": None})
+READERS = {
+    "descriptor": (descriptor_from_json, DESCRIPTOR_LINES),
+    "record": (record_from_json, (RECORD_LINE,)),
+    "prediction": (cli._prediction_from_json, (PREDICTION_LINE,)),
+}
+
+# Values at the edges of what the readers convert, and then any JSON value,
+# including the NaN and Infinity that ``json`` reads and writes.
+EDGE_VALUES = (None, True, 0, -1, 2**64, 1e308, float("inf"), float("nan"), "", "N/A",
+               [], {}, [None], {"": None}, {"frontal": float("inf")})
+json_values = st.recursive(
+    st.sampled_from(EDGE_VALUES) | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def one_field_mutants(draw, line: str) -> bytes:
+    """``line`` with one top-level field dropped, replaced or added."""
+    fields = json.loads(line)
+    key = draw(st.sampled_from(sorted(fields)) | st.text(max_size=6))
+    if key in fields and draw(st.booleans()):
+        del fields[key]
+    else:
+        fields[key] = draw(json_values)
+    return json.dumps(fields).encode("utf-8")
+
+
+def read_jsonl_bytes(raw: bytes, parse) -> None:
+    """``cli._read_jsonl`` on a file holding ``raw``: a value or a FormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.jsonl"
+        path.write_bytes(raw)
+        try:
+            cli._read_jsonl(path, parse)
+        except FormatError:
+            pass
+
+
+class TestJsonlReaders:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_valid_lines_parse(self, kind):
+        parse, lines = READERS[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lines.jsonl"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert len(cli._read_jsonl(path, parse)) == len(lines)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_every_field_at_every_edge_value(self, kind):
+        parse, lines = READERS[kind]
+        for line in lines:
+            fields = json.loads(line)
+            for key in sorted(fields):
+                for value in EDGE_VALUES:
+                    read_jsonl_bytes(json.dumps({**fields, key: value}).encode("utf-8"), parse)
+                read_jsonl_bytes(json.dumps({k: v for k, v in fields.items() if k != key})
+                                 .encode("utf-8"), parse)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(max_examples=40, deadline=None)
+    @given(raw=st.binary(max_size=300))
+    def test_arbitrary_bytes(self, kind, raw):
+        read_jsonl_bytes(raw, READERS[kind][0])
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_one_field_mutations(self, kind, data):
+        parse, lines = READERS[kind]
+        line = data.draw(st.sampled_from(lines))
+        read_jsonl_bytes(data.draw(one_field_mutants(line)), parse)

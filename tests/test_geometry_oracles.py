@@ -5,7 +5,9 @@ implementations: a Python union-find called once per neighbor pair, and a
 per-cell walk that welds vertices through a dict.  They stay here as the
 references that ``connected_components`` and ``marching_cubes`` must
 reproduce exactly: the same labels, ordering, coordinate arrays, vertices and
-triangle numbering.
+triangle numbering.  ``union_find_components`` also returns its component id
+grid (0 for background, ``i + 1`` for component ``i``), which the grid rebuilt
+from ``component_coords`` must equal.
 """
 from __future__ import annotations
 
@@ -47,7 +49,9 @@ class UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def union_find_components(mask: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> ComponentLabeling:
+def union_find_components(
+    mask: np.ndarray, spacing=(1.0, 1.0, 1.0)
+) -> tuple[ComponentLabeling, np.ndarray]:
     mask = np.asarray(mask)
     if mask.ndim != 3:
         raise ValueError(f"mask must be 3D, got shape {mask.shape}")
@@ -56,7 +60,7 @@ def union_find_components(mask: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> Componen
     coords = np.argwhere(fg)
     labeling = np.zeros(mask.shape, dtype=np.int32)
     if coords.shape[0] == 0:
-        return ComponentLabeling(labeling, [], [], [], dv)
+        return ComponentLabeling([], [], [], dv), labeling
 
     index = np.full(mask.shape, -1, dtype=np.int64)
     index[fg] = np.arange(coords.shape[0])
@@ -88,7 +92,7 @@ def union_find_components(mask: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> Componen
         voxels.append(members.shape[0])
         volumes.append(members.shape[0] * dv)
         coord_lists.append(members)
-    return ComponentLabeling(labeling, voxels, volumes, coord_lists, dv)
+    return ComponentLabeling(voxels, volumes, coord_lists, dv), labeling
 
 
 EDGE_GLOBAL = []
@@ -144,9 +148,13 @@ def welding_marching_cubes(mask: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> Surface
     return SurfaceMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
 
 
-def assert_same_labeling(got: ComponentLabeling, want: ComponentLabeling) -> None:
-    assert got.component_id.dtype == want.component_id.dtype
-    assert np.array_equal(got.component_id, want.component_id)
+def assert_same_labeling(
+    got: ComponentLabeling, want: ComponentLabeling, want_ids: np.ndarray
+) -> None:
+    ids = np.zeros(want_ids.shape, dtype=np.int32)
+    for i, coords in enumerate(got.component_coords):
+        ids[tuple(coords.T)] = i + 1
+    assert np.array_equal(ids, want_ids)
     assert got.component_voxels == want.component_voxels
     assert [type(v) for v in got.component_voxels] == [type(v) for v in want.component_voxels]
     assert got.component_volumes == want.component_volumes
@@ -166,7 +174,8 @@ def assert_same_mesh(mask: np.ndarray, spacing) -> None:
 
 
 def check_both(mask: np.ndarray, spacing) -> None:
-    assert_same_labeling(connected_components(mask, spacing), union_find_components(mask, spacing))
+    got = connected_components(np.argwhere(mask), spacing)
+    assert_same_labeling(got, *union_find_components(mask, spacing))
     if mask.any():
         assert_same_mesh(mask, spacing)
 
@@ -266,9 +275,9 @@ class TestComponentsAndMeshAgainstLoops:
         # Lowest index at one end: one hooking round, then several rounds of jumping.
         mask = np.zeros((200, 3, 3), dtype=np.uint8)
         mask[:, 1, 1] = 1
-        assert connected_components(mask).n_components == 1
+        assert connected_components(np.argwhere(mask)).n_components == 1
         check_both(mask, (1.0, 1.0, 1.3))
 
     def test_not_3d_is_value_error(self):
         with pytest.raises(ValueError, match="3D"):
-            connected_components(np.ones((2, 2)))
+            connected_components(np.argwhere(np.ones((2, 2))))

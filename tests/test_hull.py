@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from brainvqa.errors import DegenerateHullError
-from brainvqa.hull import convex_hull_volume, quickhull, voxel_corner_points
+from brainvqa.hull import quickhull
 from brainvqa.rng import stream
 from conftest import random_blob
+from geometry_helpers import convex_hull_volume, voxel_corner_points
 
 
 def unit_cube_corners() -> np.ndarray:

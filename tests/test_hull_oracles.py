@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainvqa.errors import DegenerateHullError
-from brainvqa.hull import _corner_candidates, quickhull, voxel_corner_points, voxel_hull_volume
+from brainvqa.hull import _corner_candidates, quickhull, voxel_hull_volume
 from conftest import random_blob
+from geometry_helpers import voxel_corner_points
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
 

@@ -56,7 +56,7 @@ class TestConnectedComponents:
     def test_single_voxel(self):
         m = np.zeros((8, 8, 8))
         m[2, 2, 2] = 1
-        lab = connected_components(m)
+        lab = connected_components(np.argwhere(m))
         assert lab.n_components == 1
         assert lab.core_fraction == 1.0
         assert lab.component_voxels == [1]
@@ -65,20 +65,20 @@ class TestConnectedComponents:
         m = np.zeros((4, 4, 4))
         m[0, 0, 0] = 1
         m[1, 1, 1] = 1
-        assert connected_components(m).n_components == 1
+        assert connected_components(np.argwhere(m)).n_components == 1
 
     def test_separated_voxels_two_components(self):
         m = np.zeros((4, 4, 4))
         m[0, 0, 0] = 1
         m[2, 2, 2] = 1
-        lab = connected_components(m)
+        lab = connected_components(np.argwhere(m))
         assert lab.n_components == 2
         assert lab.component_volumes == [1.0, 1.0]
         assert lab.core_fraction == pytest.approx(0.5)
         assert partition_of(lab) == {p for p in map(frozenset, bfs_components(m))}
 
     def test_empty_mask_is_empty_labeling(self):
-        lab = connected_components(np.zeros((3, 3, 3)))
+        lab = connected_components(np.argwhere(np.zeros((3, 3, 3))))
         assert lab.n_components == 0
         assert lab.total_voxels == 0
 
@@ -87,7 +87,7 @@ class TestConnectedComponents:
         m[6:9, 0, 0] = 1  # 3 voxels, later in the grid
         m[0, 0, 0] = 1  # singleton, earliest linear index
         m[3, 3, 3] = 1  # singleton, later linear index
-        lab = connected_components(m)
+        lab = connected_components(np.argwhere(m))
         assert lab.component_voxels == [3, 1, 1]
         assert tuple(lab.component_coords[1][0]) == (0, 0, 0)
         assert tuple(lab.component_coords[2][0]) == (3, 3, 3)
@@ -96,7 +96,7 @@ class TestConnectedComponents:
     def test_matches_bfs_oracle_on_random_masks(self):
         for seed in range(40):
             m = random_blob(seed, dims=(16, 16, 16), density=0.3)
-            mine = partition_of(connected_components(m))
+            mine = partition_of(connected_components(np.argwhere(m)))
             oracle = {frozenset(g) for g in bfs_components(m)}
             assert mine == oracle
 
@@ -104,13 +104,13 @@ class TestConnectedComponents:
         m = np.zeros((4, 4, 4))
         for corner in np.ndindex(2, 2, 2):
             m[tuple(3 * c for c in corner)] = 1
-        lab = connected_components(m)
+        lab = connected_components(np.argwhere(m))
         assert lab.n_components == 8
 
     def test_adding_adjacent_voxel_never_splits(self):
         for seed in range(10):
             m = random_blob(seed + 100, dims=(10, 10, 10), density=0.2)
-            base = connected_components(m).n_components
+            base = connected_components(np.argwhere(m)).n_components
             coords = np.argwhere(m)
             if len(coords) == 0:
                 continue
@@ -118,36 +118,36 @@ class TestConnectedComponents:
             grown = m.copy()
             nx = min(x + 1, 9)
             grown[nx, y, z] = 1
-            assert connected_components(grown).n_components <= base
+            assert connected_components(np.argwhere(grown)).n_components <= base
 
     def test_component_volumes_scale_with_spacing(self):
         m = np.zeros((4, 4, 4))
         m[0:2, 0, 0] = 1
-        lab = connected_components(m, spacing=(2.0, 1.0, 0.5))
+        lab = connected_components(np.argwhere(m), spacing=(2.0, 1.0, 0.5))
         assert lab.component_volumes == [2.0]
 
     def test_voxel_counts_sum(self):
         m = random_blob(7, dims=(12, 12, 12), density=0.4)
-        lab = connected_components(m)
+        lab = connected_components(np.argwhere(m))
         assert lab.total_voxels == int(m.sum())
 
 
 class TestSpreadClassify:
     def test_empty_is_na(self):
-        lab = connected_components(np.zeros((3, 3, 3)))
+        lab = connected_components(np.argwhere(np.zeros((3, 3, 3))))
         assert spread_classify(lab).category == NOT_AVAILABLE
 
     def test_single_lesion(self):
         m = np.zeros((5, 5, 5))
         m[1:3, 1:3, 1:3] = 1
-        assert spread_classify(connected_components(m)).category == SPREAD_SINGLE
+        assert spread_classify(connected_components(np.argwhere(m))).category == SPREAD_SINGLE
 
     def test_core_with_satellites_at_080(self):
         m = np.zeros((24, 6, 6))
         m[0:4, 0:4, 0:5] = 1  # 80 voxels
         m[8:11, 0:5, 0:1] = 1  # 15
         m[14:15, 0:5, 0:1] = 1  # 5
-        desc = spread_classify(connected_components(m))
+        desc = spread_classify(connected_components(np.argwhere(m)))
         assert desc.n_components == 3
         assert desc.core_fraction == pytest.approx(0.8)
         assert desc.category == SPREAD_CORE_SATELLITES
@@ -156,7 +156,7 @@ class TestSpreadClassify:
         m = np.zeros((20, 6, 6))
         m[0:3, 0:4, 0:5] = 1  # 60 voxels
         m[6:8, 0:4, 0:5] = 1  # 40 voxels
-        desc = spread_classify(connected_components(m))
+        desc = spread_classify(connected_components(np.argwhere(m)))
         assert desc.core_fraction == pytest.approx(0.6)
         assert desc.category == SPREAD_SCATTERED
 
@@ -164,7 +164,6 @@ class TestSpreadClassify:
     @pytest.mark.parametrize("f_core", [0.69, 0.70, 0.71])
     def test_threshold_case_table(self, n_components, f_core):
         lab = ComponentLabeling(
-            component_id=np.zeros((1, 1, 1), dtype=np.int32),
             component_voxels=[100] * n_components,
             component_volumes=_volumes(n_components, f_core),
             component_coords=[np.zeros((1, 3), dtype=np.int64)] * n_components,

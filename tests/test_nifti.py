@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from brainvqa.errors import (
     CapacityError,
@@ -298,7 +301,30 @@ class TestLabelMask:
     def test_binary_extraction(self):
         data = np.zeros((2, 2, 2), dtype=np.int16)
         data[0, 0, 0] = 2
-        mask = LabelMask(make_volume(data), {2: "thing"})
+        mask = LabelMask(make_volume(data), {1: "absent", 2: "thing"})
         assert mask.label_set == {2}
-        assert mask.binary(2).sum() == 1
-        assert mask.binary(1).sum() == 0
+        coords = mask.label_coords()
+        assert len(coords[2]) == 1
+        assert len(coords[1]) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.uint8, np.int16, np.int32, np.uint16]),
+            hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
+            elements=st.integers(0, 5),
+        ),
+        st.sets(st.integers(0, 7), max_size=4),
+        st.booleans(),
+    )
+    def test_label_coords_equal_argwhere(self, data, extra, fortran):
+        if fortran:
+            data = np.asfortranarray(data)
+        names = {int(v): f"label {v}" for v in set(np.unique(data[data != 0])) | extra}
+        coords = LabelMask(make_volume(data), names).label_coords()
+        assert sorted(coords) == sorted(names)
+        for label, got in coords.items():
+            want = np.argwhere(data == label)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+

@@ -5,6 +5,7 @@ import pytest
 
 from brainvqa.errors import ConfigError, GeometryError
 from brainvqa.nifti import LabelMask, Volume3D
+from brainvqa.qagen import compute_descriptors
 from brainvqa.regions import (
     Atlas,
     VOLUME_BINS,
@@ -22,26 +23,48 @@ def brain_with(n_nonzero: int, dims=(10, 10, 10)) -> Volume3D:
     return Volume3D.from_array(data)
 
 
+def nonzero(volume: Volume3D) -> int:
+    return int(np.count_nonzero(volume.data))
+
+
+def one_label(dims) -> LabelMask:
+    data = np.zeros(dims, dtype=np.int16)
+    data[1:3, 1:3, 1:3] = 1
+    return LabelMask(Volume3D.from_array(data), {1: "lesion"})
+
+
 class TestRelativeVolume:
     def test_empty_mask(self):
-        assert relative_volume(np.zeros((10, 10, 10)), brain_with(1000)) == 0.0
+        assert relative_volume(0, nonzero(brain_with(1000))) == 0.0
 
     def test_thirty_over_thousand(self):
         mask = np.zeros((10, 10, 10))
         mask.reshape(-1)[:30] = 1
-        assert relative_volume(mask, brain_with(1000)) == pytest.approx(0.03)
+        assert relative_volume(np.count_nonzero(mask), nonzero(brain_with(1000))) == (
+            pytest.approx(0.03)
+        )
 
     def test_mask_equals_brain_support(self):
         brain = brain_with(1000)
-        assert relative_volume((brain.data != 0), brain) == 1.0
+        assert relative_volume(np.count_nonzero(brain.data != 0), nonzero(brain)) == 1.0
 
     def test_zero_brain_is_error(self):
         with pytest.raises(GeometryError):
-            relative_volume(np.ones((10, 10, 10)), brain_with(0))
+            relative_volume(1000, nonzero(brain_with(0)))
 
     def test_grid_mismatch(self):
-        with pytest.raises(GeometryError):
-            relative_volume(np.zeros((5, 5, 5)), brain_with(10))
+        # The grid check lives where the brain is counted: compute_descriptors.
+        with pytest.raises(GeometryError, match="brain grid"):
+            compute_descriptors("s", brain_with(10, (5, 5, 5)), one_label((10, 10, 10)),
+                                block_atlas((10, 10, 10)))
+
+    def test_zero_brain_raises_only_with_a_present_label(self):
+        atlas = block_atlas((10, 10, 10))
+        with pytest.raises(GeometryError, match="no nonzero voxels"):
+            compute_descriptors("s", brain_with(0), one_label((10, 10, 10)), atlas)
+        empty = LabelMask(Volume3D.from_array(np.zeros((10, 10, 10), np.int16)), {1: "x"})
+        (desc,) = compute_descriptors("s", brain_with(0), empty, atlas)
+        assert desc.absent
 
     def test_invariant_under_conform_round_trip(self):
         from brainvqa.nifti import conform_to_ras
@@ -49,11 +72,11 @@ class TestRelativeVolume:
         rng = np.random.default_rng(3)
         brain = brain_with(700)
         mask = (rng.random((10, 10, 10)) < 0.1).astype(np.int16)
-        before = relative_volume(mask, brain)
+        before = relative_volume(np.count_nonzero(mask), nonzero(brain))
         mask_vol = Volume3D.from_array(mask)
         conformed_mask = conform_to_ras(mask_vol, (1, 1, 1), "nearest")
         conformed_brain = conform_to_ras(brain, (1, 1, 1), "nearest")
-        after = relative_volume(conformed_mask.data, conformed_brain)
+        after = relative_volume(np.count_nonzero(conformed_mask.data), nonzero(conformed_brain))
         assert after == pytest.approx(before)
 
 
@@ -99,13 +122,13 @@ class TestVolumeBin:
 class TestRegionOverlap:
     def test_empty_mask_is_na(self):
         atlas = block_atlas((12, 12, 12))
-        assert region_overlap(np.zeros((12, 12, 12)), atlas) is None
+        assert region_overlap(np.argwhere(np.zeros((12, 12, 12))), atlas) is None
 
     def test_single_region_containment(self):
         atlas = block_atlas((12, 12, 12))
         mask = np.zeros((12, 12, 12))
         mask[0:3, 0:3, :] = 1  # inside atlas label 1 -> "frontal"
-        out = region_overlap(mask, atlas, min_overlap_voxels=10)
+        out = region_overlap(np.argwhere(mask), atlas, min_overlap_voxels=10)
         assert out.regions == ("frontal",)
 
     def test_two_region_straddle_with_counts(self):
@@ -116,7 +139,7 @@ class TestRegionOverlap:
         parietal = np.argwhere(atlas.labels.volume.data == 2)[:40]
         for x, y, z in np.vstack([frontal, parietal]):
             mask[x, y, z] = 1
-        out = region_overlap(mask, atlas, min_overlap_voxels=10)
+        out = region_overlap(np.argwhere(mask), atlas, min_overlap_voxels=10)
         assert out.regions == ("frontal", "parietal")
         assert out.overlap_counts == {"frontal": 100, "parietal": 40}
 
@@ -126,7 +149,7 @@ class TestRegionOverlap:
         coords = np.argwhere(atlas.labels.volume.data == 3)[:5]
         for x, y, z in coords:
             mask[x, y, z] = 1
-        out = region_overlap(mask, atlas, min_overlap_voxels=10)
+        out = region_overlap(np.argwhere(mask), atlas, min_overlap_voxels=10)
         assert out is not None
         assert out.regions == ()
 
@@ -136,7 +159,7 @@ class TestRegionOverlap:
         mask = (rng.random((12, 12, 12)) < 0.2).astype(np.uint8)
         previous = None
         for floor in (1, 5, 20, 80):
-            names = set(region_overlap(mask, atlas, floor).regions)
+            names = set(region_overlap(np.argwhere(mask), atlas, floor).regions)
             if previous is not None:
                 assert names <= previous
             previous = names
@@ -153,8 +176,8 @@ class TestRegionOverlap:
         )
         rng = np.random.default_rng(1)
         mask = (rng.random((12, 12, 12)) < 0.3).astype(np.uint8)
-        a = region_overlap(mask, atlas, 5)
-        b = region_overlap(mask, renumbered, 5)
+        a = region_overlap(np.argwhere(mask), atlas, 5)
+        b = region_overlap(np.argwhere(mask), renumbered, 5)
         assert a.regions == b.regions
         assert a.overlap_counts == b.overlap_counts
 
@@ -165,13 +188,21 @@ class TestRegionOverlap:
         for label in (2, 3):
             for x, y, z in np.argwhere(atlas.labels.volume.data == label)[:20]:
                 mask[x, y, z] = 1
-        out = region_overlap(mask, atlas, 10)
+        out = region_overlap(np.argwhere(mask), atlas, 10)
         assert out.regions == ("occipital", "parietal")
 
     def test_grid_mismatch(self):
+        # The grid check lives where the label split is made: compute_descriptors.
+        with pytest.raises(GeometryError, match="atlas grid"):
+            compute_descriptors("s", brain_with(1000), one_label((10, 10, 10)),
+                                block_atlas((12, 12, 12)))
+
+    @pytest.mark.parametrize("voxel", [(12, 0, 0), (0, 0, 12), (0, -1, 0), (-5, 3, 3)])
+    def test_coords_outside_atlas_grid(self, voxel):
         atlas = block_atlas((12, 12, 12))
-        with pytest.raises(GeometryError):
-            region_overlap(np.zeros((6, 6, 6)), atlas)
+        coords = np.array([(1, 1, 1), voxel])
+        with pytest.raises(GeometryError, match="outside the atlas grid"):
+            region_overlap(coords, atlas)
 
 
 class TestAtlasValidation:

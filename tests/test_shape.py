@@ -114,7 +114,7 @@ class TestShapeMetrics:
     def test_sphericity_bounded_on_random_blobs(self):
         for seed in range(40):
             blob = random_blob(seed, dims=(10, 10, 10), density=0.3)
-            lab = connected_components(blob)
+            lab = connected_components(np.argwhere(blob))
             if lab.n_components == 0:
                 continue
             m = shape_metrics(lab.component_coords[0])
@@ -197,18 +197,18 @@ class TestClassifier:
 
 class TestDescribeShape:
     def test_empty_labeling_is_na(self):
-        lab = connected_components(np.zeros((4, 4, 4)))
+        lab = connected_components(np.argwhere(np.zeros((4, 4, 4))))
         category, agg = describe_shape(lab)
         assert category == "N/A"
         assert agg is None
 
     def test_sphere_is_round(self, sphere10):
-        lab = connected_components(sphere10)
+        lab = connected_components(np.argwhere(sphere10))
         category, agg = describe_shape(lab)
         assert category == SHAPE_ROUND
         assert agg is not None
 
     def test_ellipsoid_is_elongated(self):
-        lab = connected_components(digitized_ellipsoid((30, 8, 8)))
+        lab = connected_components(np.argwhere(digitized_ellipsoid((30, 8, 8))))
         category, _ = describe_shape(lab)
         assert category == SHAPE_ELONGATED

@@ -10,16 +10,14 @@ from brainvqa.surface import (
     SurfaceMesh,
     case_area,
     cell_triangles,
-    is_closed,
-    is_orientable,
     marching_cubes,
     mesh_area,
-    single_voxel_mesh,
     surface_area,
     triangle_areas,
     write_off,
 )
 from conftest import random_blob
+from geometry_helpers import is_closed, is_orientable, single_voxel_mesh
 
 
 class TestMeshArea:

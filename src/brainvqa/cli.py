@@ -110,11 +110,22 @@ def _read_jsonl(path, parse) -> list:
 
 
 def _prediction_from_json(line: str) -> PredictionRecord:
+    """One prediction line; a field not of its ``PredictionRecord`` type is a TypeError."""
     d = json.loads(line)
-    return PredictionRecord(
+    pred = PredictionRecord(
         id=d["id"], volume=d.get("volume"), regions=d.get("regions"),
         shape=d.get("shape"), spread=d.get("spread"), oos=d.get("oos"),
     )
+    if not isinstance(pred.id, str):
+        raise TypeError(f"prediction id must be a string, not {pred.id!r}")
+    for name in ("volume", "shape", "spread", "oos"):
+        if not isinstance(getattr(pred, name), (str, type(None))):
+            raise TypeError(f"prediction {name} must be a string or null")
+    regions = pred.regions
+    if not (regions is None or isinstance(regions, str)
+            or isinstance(regions, list) and all(isinstance(r, str) for r in regions)):
+        raise TypeError("prediction regions must be a list of strings, a string or null")
+    return pred
 
 
 def _load_labels_config(path) -> dict[int, str]:

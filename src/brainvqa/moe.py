@@ -12,15 +12,13 @@ branch can collapse).  Modality-level experts route from the concatenated
 [CLS] tokens; token-level experts apply one router position-wise and so emit
 a weight per (modality, position).
 
-The batched forward and backward stack each expert parameter kind along an
-expert axis per call and run all experts at once: token-level experts route
-from each position's tokens, modality-level ones from the [CLS] tokens
-broadcast over positions, and the gates and both projections are a few
-matmuls over the stack.  Parameters stay stored as ``expert{n}.*`` arrays.
-
-Everything is explicit numpy with hand-derived gradients; ``moe_backward_batch``
-returns gradients for every parameter and all inputs, verified against
-central finite differences in the test suite.  All math is float64.
+``MoEParams`` stores the ``high.*`` router arrays and each expert kind stacked
+along a leading expert axis (``Wm`` is ``(N, N_m, d_T, d_I)``).  The batched
+forward and backward contract these stacks directly, all experts and both
+granularities at once.  ``MoEParams.arrays`` names the same memory:
+``expert{n}.{kind}`` is the view ``stacks[kind][n]``, so edits by name write
+through.  Gradients are hand-derived, stacked like the parameters, and checked
+against central finite differences in the test suite.  All math is float64.
 """
 from __future__ import annotations
 
@@ -28,6 +26,7 @@ import hashlib
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ _SIZES = ("n_experts", "n_modalities", "d_image", "d_text", "hidden")
 
 # Per-expert parameter kinds; expert n's arrays are named ``expert{n}.{kind}``.
 _EXPERT_KINDS = ("low.W1", "low.b1", "low.W2", "low.b2", "Wm", "bm", "Ws", "bs")
+_EXPERT_NAME = re.compile(r"expert(0|[1-9][0-9]*)\.(.+)")
 
 
 @dataclass
@@ -67,13 +67,53 @@ class MoEConfig:
             raise ConfigError(f"unknown granularity tags {sorted(bad)}")
 
 
-@dataclass
+class NameView(Mapping):
+    """Names over stacked arrays: ``expert{n}.{kind}`` is ``stacks[kind][n]`` for an
+    expert kind, any other key is its own name.  Edits by name write into the stacks."""
+
+    def __init__(self, n_experts: int, stacks: dict[str, np.ndarray]):
+        self.n_experts, self.stacks = n_experts, stacks
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        match = _EXPERT_NAME.fullmatch(name)
+        if match and match[2] in _EXPERT_KINDS and int(match[1]) < self.n_experts:
+            return self.stacks[match[2]][int(match[1])]
+        if name in _EXPERT_KINDS:
+            raise KeyError(name)
+        return self.stacks[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        self[name][...] = value
+
+    def __iter__(self):
+        yield from (key for key in self.stacks if key not in _EXPERT_KINDS)
+        for n in range(self.n_experts):
+            yield from (f"expert{n}.{kind}" for kind in _EXPERT_KINDS)
+
+    def __len__(self) -> int:
+        return len(self.stacks) + (self.n_experts - 1) * len(_EXPERT_KINDS)
+
+
 class MoEParams:
-    config: MoEConfig
-    arrays: dict[str, np.ndarray]
+    """Parameters stored as :func:`_stack_layout`; built from names and shapes that
+    must be exactly :func:`_param_layout`'s, else :class:`FormatError`."""
+
+    def __init__(self, config: MoEConfig, arrays: Mapping[str, np.ndarray]):
+        if {name: np.shape(a) for name, a in arrays.items()} != dict(_param_layout(config)):
+            raise FormatError("parameter array names or shapes do not match the config")
+        self.config = config
+        self.stacks = {key: np.empty(shape) for key, shape in _stack_layout(config).items()}
+        for name, view in self.arrays.items():
+            view[...] = arrays[name]
+        # The router columns (N*H) of token-level experts, used by every batched call.
+        self.token_cols = np.repeat([g == TOKEN_LEVEL for g in config.granularity], config.hidden)
+
+    @property
+    def arrays(self) -> NameView:
+        return NameView(self.config.n_experts, self.stacks)
 
     def n_parameters(self) -> int:
-        return int(sum(a.size for a in self.arrays.values()))
+        return int(sum(a.size for a in self.stacks.values()))
 
 
 @dataclass
@@ -116,31 +156,20 @@ def init_moe_params(
     return MoEParams(cfg, arrays)
 
 
+def _stack_layout(cfg: MoEConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every stored array: the high router, then the expert kinds stacked."""
+    N, H, M, d_i, d_t = cfg.n_experts, cfg.hidden, cfg.n_modalities, cfg.d_image, cfg.d_text
+    return {"high.W1": (H, d_t), "high.b1": (H,), "high.W2": (N, H), "high.b2": (N,),
+            "low.W1": (N, H, M * d_i), "low.b1": (N, H), "low.W2": (N, M, H), "low.b2": (N, M),
+            "Wm": (N, M, d_t, d_i), "bm": (N, M, d_t), "Ws": (N, d_t, d_i), "bs": (N, d_t)}
+
+
 def _param_layout(cfg: MoEConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter array, in initialization order."""
-    hidden, n_mod, d_image, d_text = cfg.hidden, cfg.n_modalities, cfg.d_image, cfg.d_text
-    expert_shapes = (
-        (hidden, n_mod * d_image), (hidden,), (n_mod, hidden), (n_mod,),  # low.W1 .. low.b2
-        (n_mod, d_text, d_image), (n_mod, d_text), (d_text, d_image), (d_text,),  # Wm .. bs
-    )
-    layout = [
-        ("high.W1", (hidden, d_text)),
-        ("high.b1", (hidden,)),
-        ("high.W2", (cfg.n_experts, hidden)),
-        ("high.b2", (cfg.n_experts,)),
-    ]
-    for n in range(cfg.n_experts):
-        layout += [(f"expert{n}.{k}", shape) for k, shape in zip(_EXPERT_KINDS, expert_shapes)]
-    return layout
-
-
-def spatial_pool(tokens: np.ndarray, factor: int) -> np.ndarray:
-    """Mean over non-overlapping groups of ``factor`` consecutive tokens."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    n = tokens.shape[0]
-    if factor < 1 or n % factor != 0:
-        raise FormatError(f"pooling factor {factor} does not divide {n} tokens")
-    return tokens.reshape(n // factor, factor, *tokens.shape[1:]).mean(axis=1)
+    stacks = _stack_layout(cfg)
+    return [(key, shape) for key, shape in stacks.items() if key not in _EXPERT_KINDS] + [
+        (f"expert{n}.{kind}", stacks[kind][1:])
+        for n in range(cfg.n_experts) for kind in _EXPERT_KINDS]
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -150,33 +179,21 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 # ---------------------------------------------------------------------------
 # Batched forward / backward over all experts at once.  Shapes: v (B, N_I, N_m,
 # d_I), cls (B, N_m, d_I), t (B, d_T); fused output (B, N_I, d_T); R = B*N_I.
-
-def _stacked(params: MoEParams) -> dict[str, np.ndarray]:
-    """Each expert parameter kind stacked along a leading expert axis."""
-    A = params.arrays
-    experts = range(params.config.n_experts)
-    return {kind: np.stack([A[f"expert{n}.{kind}"] for n in experts]) for kind in _EXPERT_KINDS}
-
+# The projections and their difference are (N, N_m, R, d_T), batched like Wm.
 
 def moe_forward_batch(
     v: np.ndarray, cls: np.ndarray, t: np.ndarray, params: MoEParams
 ) -> tuple[np.ndarray, dict]:
-    cfg = params.config
-    A = params.arrays
-    v = np.asarray(v, dtype=np.float64)
-    cls = np.asarray(cls, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
+    cfg, S = params.config, params.stacks
+    v, cls, t = (np.asarray(a, dtype=np.float64) for a in (v, cls, t))
     if (v.ndim != 4 or v.shape[1] < 1 or v.shape[2:] != (cfg.n_modalities, cfg.d_image)
             or cls.shape != (v.shape[0], cfg.n_modalities, cfg.d_image)
             or t.shape != (v.shape[0], cfg.d_text)):
@@ -185,68 +202,62 @@ def moe_forward_batch(
             f"(N_m={cfg.n_modalities}, d_I={cfg.d_image}, d_T={cfg.d_text})"
         )
     B, n_i, n_m, d_i = v.shape
-    N, R, T, H = cfg.n_experts, B * n_i, cfg.d_text, cfg.hidden
+    N, R, H = cfg.n_experts, B * n_i, cfg.hidden
 
-    h_act = np.tanh(t @ A["high.W1"].T + A["high.b1"])
-    pi_high = softmax(h_act @ A["high.W2"].T + A["high.b2"], axis=1)  # (B, N)
+    h_act = np.tanh(t @ S["high.W1"].T + S["high.b1"])
+    pi_high = softmax(h_act @ S["high.W2"].T + S["high.b2"], axis=1)  # (B, N)
 
-    S = _stacked(params)
     # Token-level experts route from each position's tokens, modality-level ones
     # from the [CLS] tokens; choosing per expert column of the first layer's
     # output (R, N*H) builds no per-expert copy of the router input.
-    token_cols = np.repeat([g == TOKEN_LEVEL for g in cfg.granularity], H)
     W1 = S["low.W1"].reshape(N * H, n_m * d_i)
     x_tok, x_cls = v.reshape(R, n_m * d_i), cls.reshape(B, n_m * d_i)
-    pre = np.where(token_cols, x_tok @ W1.T, np.repeat(x_cls @ W1.T, n_i, axis=0))
+    pre = np.where(params.token_cols, x_tok @ W1.T, np.repeat(x_cls @ W1.T, n_i, axis=0))
     z_act = np.tanh(pre + S["low.b1"].reshape(N * H)).reshape(R, N, H).transpose(1, 0, 2)
     gate = sigmoid(z_act @ S["low.W2"].transpose(0, 2, 1) + S["low.b2"][:, None])  # (N, R, N_m)
 
     vt = np.ascontiguousarray(v.reshape(R, n_m, d_i).transpose(1, 0, 2))  # (N_m, R, d_I)
-    Wm = S["Wm"].transpose(1, 0, 2, 3).reshape(n_m, N * T, d_i)
-    Ws = S["Ws"].reshape(N * T, d_i)
-    spec = vt @ Wm.transpose(0, 2, 1) + S["bm"].transpose(1, 0, 2).reshape(n_m, 1, N * T)
-    shared = vt @ Ws.T + S["bs"].reshape(N * T)  # (N_m, R, N*d_T)
-    diff = np.subtract(spec, shared, out=spec).reshape(n_m, R, N, T)
-    mix = shared.reshape(n_m, R, N, T)
-    mix += gate.transpose(2, 1, 0)[..., None] * diff  # shared + pi * (specific - shared)
-    expert_out = mix.sum(axis=0)  # (R, N, d_T)
+    spec = vt @ S["Wm"].transpose(0, 1, 3, 2)  # (N, N_m, R, d_T)
+    spec += S["bm"][:, :, None]
+    shared = (vt.reshape(n_m * R, d_i) @ S["Ws"].transpose(0, 2, 1)).reshape(spec.shape)
+    shared += S["bs"][:, None, None]
+    diff = np.subtract(spec, shared, out=spec)
+    # Sum over modalities of shared + pi * (specific - shared), the gated part as
+    # one small matmul per (expert, row).
+    expert_out = (gate[:, :, None] @ diff.transpose(0, 2, 1, 3))[:, :, 0]  # (N, R, d_T)
+    expert_out += shared.sum(axis=1)
     pi_rows = np.repeat(pi_high, n_i, axis=0)  # (R, N)
-    e = (pi_rows[:, :, None] * expert_out).sum(axis=1).reshape(B, n_i, T)
-    cache = {
-        "v": v, "cls": cls, "t": t, "h_act": h_act, "pi_high": pi_high, "pi_rows": pi_rows,
-        "token_cols": token_cols, "z_act": z_act, "gate": gate.reshape(N, B, n_i, n_m),
-        "vt": vt, "Wm": Wm, "Ws": Ws, "diff": diff, "expert_out": expert_out,
-        "stacked": S, "params": params,
-    }
-    return e, cache
+    e = (pi_rows[:, None] @ expert_out.transpose(1, 0, 2)).reshape(B, n_i, cfg.d_text)
+    return e, {"v": v, "cls": cls, "t": t, "h_act": h_act, "pi_high": pi_high,
+               "pi_rows": pi_rows, "z_act": z_act, "gate": gate, "vt": vt, "diff": diff,
+               "expert_out": expert_out, "params": params}
 
 
-def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[dict[str, np.ndarray], dict]:
-    """Gradients of a scalar loss wrt all parameters and inputs given dL/de."""
+def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[NameView, dict]:
+    """dL/d(every parameter), stacked under a :class:`NameView`, and dL/d(inputs) given dL/de."""
     params: MoEParams = cache["params"]
-    A, S = params.arrays, cache["stacked"]
-    v, cls, t, z_act, vt = cache["v"], cache["cls"], cache["t"], cache["z_act"], cache["vt"]
-    pi_high, pi_rows, expert_out = cache["pi_high"], cache["pi_rows"], cache["expert_out"]
+    S, cfg = params.stacks, params.config
+    v, cls, t, h_act, pi_high, z_act, gate, vt = (
+        cache[k] for k in ("v", "cls", "t", "h_act", "pi_high", "z_act", "gate", "vt"))
     B, n_i, n_m, d_i = v.shape
-    N, R, T, H = params.config.n_experts, B * n_i, params.config.d_text, params.config.hidden
-    gate = cache["gate"].reshape(N, R, n_m)
+    N, R, T, H = cfg.n_experts, B * n_i, cfg.d_text, cfg.hidden
 
-    de = np.asarray(de, dtype=np.float64).reshape(R, 1, T)
-    dpi_high = (expert_out * de).sum(axis=2).reshape(B, n_i, N).sum(axis=1)
-    dout = pi_rows[:, :, None] * de  # (R, N, d_T), broadcast of the sum over modalities
-    dgate = (dout * cache["diff"]).sum(axis=3).transpose(2, 1, 0)  # (N, R, N_m)
-    g = np.ascontiguousarray(gate.transpose(2, 1, 0))[..., None]  # (N_m, R, N, 1)
-    dspec = g * dout  # (N_m, R, N, d_T), C-ordered so that its reshapes are views
-    G = {
-        "Wm": (dspec.reshape(n_m, R, N * T).transpose(0, 2, 1) @ vt)
-        .reshape(n_m, N, T, d_i).transpose(1, 0, 2, 3),
-        "bm": dspec.sum(axis=1).transpose(1, 0, 2),
-    }
-    dvt = dspec.reshape(n_m, R, N * T) @ cache["Wm"]  # (N_m, R, d_I)
-    dshared = np.subtract(dout, dspec, out=dspec).reshape(n_m * R, N * T)  # (1 - pi) * dout
-    G["Ws"] = (dshared.T @ vt.reshape(n_m * R, d_i)).reshape(N, T, d_i)
-    G["bs"] = dshared.sum(axis=0).reshape(N, T)
-    dvt += (dshared @ cache["Ws"]).reshape(n_m, R, d_i)
+    de = np.asarray(de, dtype=np.float64).reshape(R, T)
+    dpi_high = (cache["expert_out"] * de).sum(axis=2).T.reshape(B, n_i, N).sum(axis=1)
+    dout = cache["pi_rows"][:, :, None] * de[:, None]  # (R, N, d_T), equal for every modality
+    dgate = (cache["diff"].transpose(0, 2, 1, 3) @ dout.transpose(1, 0, 2)[..., None])[..., 0]
+    # dspec = pi * dout is laid out so that one matmul per modality contracts experts
+    # and d_T together.  The shared branch gets dout - dspec, so its gradients are
+    # dout's summed over modalities minus dspec's.
+    dspec = np.multiply(gate.transpose(2, 1, 0)[..., None], dout, order="C")
+    dspec = dspec.reshape(n_m, R, N * T)
+    G = {"Wm": (dspec.transpose(0, 2, 1) @ vt).reshape(n_m, N, T, d_i).transpose(1, 0, 2, 3),
+         "bm": dspec.sum(axis=1).reshape(n_m, N, T).transpose(1, 0, 2)}
+    dout = dout.reshape(R, N * T)
+    G["Ws"] = (dout.T @ vt.sum(axis=0)).reshape(N, T, d_i) - G["Wm"].sum(axis=1)
+    G["bs"] = n_m * dout.sum(axis=0).reshape(N, T) - G["bm"].sum(axis=1)
+    W_diff = (S["Wm"] - S["Ws"][:, None]).transpose(1, 0, 2, 3).reshape(n_m, N * T, d_i)
+    dvt = dspec @ W_diff + dout @ S["Ws"].reshape(N * T, d_i)  # (N_m, R, d_I)
 
     dlogit = dgate * gate * (1.0 - gate)  # (N, R, N_m)
     G["low.W2"] = dlogit.transpose(0, 2, 1) @ z_act
@@ -254,8 +265,8 @@ def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[dict[str, np.ndarra
     dz = ((dlogit @ S["low.W2"]) * (1.0 - z_act**2)).transpose(1, 0, 2).reshape(R, N * H)
     # Token-level experts' router gradient goes to the tokens, modality-level
     # experts' to the [CLS] tokens, summed over positions.
-    dz_tok = np.where(cache["token_cols"], dz, 0.0)
-    dz_cls = np.where(cache["token_cols"], 0.0, dz).reshape(B, n_i, N * H).sum(axis=1)
+    dz_tok = np.where(params.token_cols, dz, 0.0)
+    dz_cls = np.where(params.token_cols, 0.0, dz).reshape(B, n_i, N * H).sum(axis=1)
     x_tok, x_cls = v.reshape(R, n_m * d_i), cls.reshape(B, n_m * d_i)
     G["low.W1"] = (dz_tok.T @ x_tok + dz_cls.T @ x_cls).reshape(N, H, n_m * d_i)
     G["low.b1"] = dz.sum(axis=0).reshape(N, H)
@@ -265,38 +276,29 @@ def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[dict[str, np.ndarra
 
     # softmax jacobian, then the high router MLP
     dlogits = pi_high * (dpi_high - (dpi_high * pi_high).sum(axis=1, keepdims=True))
-    h_act = cache["h_act"]
-    grads = {"high.W2": dlogits.T @ h_act, "high.b2": dlogits.sum(axis=0)}
-    dh = (dlogits @ A["high.W2"]) * (1.0 - h_act**2)
-    grads["high.W1"] = dh.T @ t
-    grads["high.b1"] = dh.sum(axis=0)
-    grads.update({f"expert{n}.{kind}": G[kind][n] for n in range(N) for kind in _EXPERT_KINDS})
-    return grads, {"v": dv, "cls": dcls, "t": dh @ A["high.W1"]}
+    dh = (dlogits @ S["high.W2"]) * (1.0 - h_act**2)
+    G.update({"high.W1": dh.T @ t, "high.b1": dh.sum(axis=0),
+              "high.W2": dlogits.T @ h_act, "high.b2": dlogits.sum(axis=0)})
+    return NameView(N, G), {"v": dv, "cls": dcls, "t": dh @ S["high.W1"]}
 
 
 # ---------------------------------------------------------------------------
 # Single-sample wrappers (the natural unit of the routing analysis)
 
 def high_route(t: np.ndarray, params: MoEParams) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64).reshape(1, -1)
-    A = params.arrays
-    h_act = np.tanh(t @ A["high.W1"].T + A["high.b1"])
-    return softmax(h_act @ A["high.W2"].T + A["high.b2"], axis=1)[0]
+    S, t = params.stacks, np.asarray(t, dtype=np.float64).reshape(1, -1)
+    h_act = np.tanh(t @ S["high.W1"].T + S["high.b1"])
+    return softmax(h_act @ S["high.W2"].T + S["high.b2"], axis=1)[0]
 
 
 def low_route(expert: int, v: np.ndarray, cls: np.ndarray, params: MoEParams) -> np.ndarray:
     """Blending weights of one expert: (N_m,) modality-level, (N_m, N_I) token-level."""
-    cfg = params.config
-    A = params.arrays
-    p = f"expert{expert}"
-    if cfg.granularity[expert] == MODALITY_LEVEL:
+    W1, b1, W2, b2 = (params.stacks[k][expert] for k in ("low.W1", "low.b1", "low.W2", "low.b2"))
+    if params.config.granularity[expert] == MODALITY_LEVEL:
         x = np.asarray(cls, dtype=np.float64).reshape(1, -1)
-        z = np.tanh(x @ A[f"{p}.low.W1"].T + A[f"{p}.low.b1"])
-        return sigmoid(z @ A[f"{p}.low.W2"].T + A[f"{p}.low.b2"])[0]
+        return sigmoid(np.tanh(x @ W1.T + b1) @ W2.T + b2)[0]
     x = np.asarray(v, dtype=np.float64).reshape(v.shape[0], -1)
-    z = np.tanh(x @ A[f"{p}.low.W1"].T + A[f"{p}.low.b1"])
-    pi = sigmoid(z @ A[f"{p}.low.W2"].T + A[f"{p}.low.b2"])  # (N_I, N_m)
-    return pi.T
+    return sigmoid(np.tanh(x @ W1.T + b1) @ W2.T + b2).T  # (N_m, N_I)
 
 
 def moe_forward(
@@ -304,7 +306,7 @@ def moe_forward(
 ) -> tuple[np.ndarray, RoutingTrace]:
     """Fuse one sample; returns (N_I, d_T) tokens plus the routing trace."""
     e, cache = moe_forward_batch(v[None], cls[None], t[None], params)
-    gate = cache["gate"][:, 0]  # (N, N_I, N_m)
+    gate = cache["gate"]  # (N, N_I, N_m)
     pi_low = [gate[n, 0] if g == MODALITY_LEVEL else gate[n].T  # (N_m,) or (N_m, N_I)
               for n, g in enumerate(params.config.granularity)]
     return e[0], RoutingTrace(pi_high=cache["pi_high"][0], pi_low=pi_low)
@@ -318,20 +320,17 @@ def moe_forward_oracle(
     Deliberately scalar-indexed and slow; the vectorized forward must agree
     with this to 1e-12.
     """
-    cfg = params.config
-    A = params.arrays
-    n_i = v.shape[0]
+    cfg, S, n_i = params.config, params.stacks, v.shape[0]
     pi_high = high_route(t, params)
     e = np.zeros((n_i, cfg.d_text))
     for n in range(cfg.n_experts):
-        p = f"expert{n}"
         pi = low_route(n, v, cls, params)
         for i in range(n_i):
             acc = np.zeros(cfg.d_text)
             for m in range(cfg.n_modalities):
                 w = pi[m] if cfg.granularity[n] == MODALITY_LEVEL else pi[m, i]
-                specific = A[f"{p}.Wm"][m] @ v[i, m] + A[f"{p}.bm"][m]
-                shared = A[f"{p}.Ws"] @ v[i, m] + A[f"{p}.bs"]
+                specific = S["Wm"][n, m] @ v[i, m] + S["bm"][n, m]
+                shared = S["Ws"][n] @ v[i, m] + S["bs"][n]
                 acc += w * specific + (1.0 - w) * shared
             e[i] += pi_high[n] * acc
     return e
@@ -379,23 +378,14 @@ _CHECKPOINT_MAGIC = b"BVQM"
 
 
 def save_checkpoint(path, params: MoEParams, extra: dict | None = None) -> None:
-    names = sorted(params.arrays)
-    manifest = {
-        "schema_version": 1,
-        "n_experts": params.config.n_experts,
-        "n_modalities": params.config.n_modalities,
-        "d_image": params.config.d_image,
-        "d_text": params.config.d_text,
-        "hidden": params.config.hidden,
-        "granularity": list(params.config.granularity),
-        "arrays": [
-            {"name": n, "shape": list(params.arrays[n].shape)} for n in names
-        ],
-    }
+    cfg, arrays, names = params.config, params.arrays, sorted(params.arrays)
+    manifest = {"schema_version": 1, **{k: getattr(cfg, k) for k in _SIZES},
+                "granularity": list(cfg.granularity),
+                "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names]}
     if extra:
         manifest["extra"] = extra
     blob = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    payload = [params.arrays[n].astype("<f8").tobytes() for n in names]
+    payload = [arrays[n].astype("<f8").tobytes() for n in names]
     prefix = [_CHECKPOINT_MAGIC, np.uint32(len(blob)).tobytes(), blob]
     atomic_write(path, b"".join(prefix + payload))
 
@@ -427,10 +417,9 @@ def load_checkpoint(path) -> MoEParams:
         if offset + nbytes > len(raw):
             raise TruncatedFileError(f"checkpoint truncated at array {name}")
         try:
-            arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
+            arrays[name] = np.frombuffer(raw[offset : offset + nbytes], "<f8").reshape(shape)
         except ValueError:  # more dims, or a larger extent, than numpy allows
             raise FormatError(f"checkpoint array {name} has unusable shape {shape}") from None
-        arrays[name] = arr.astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise FormatError(f"checkpoint has {len(raw) - offset} trailing bytes")

@@ -190,10 +190,18 @@ class Volume3D:
 
 @dataclass
 class LabelMask:
-    """Integer label volume plus the clinical name of each label."""
+    """Integer label volume plus the clinical name of each label.
+
+    ``label_set`` (the nonzero labels present) is found once, at construction,
+    and the split of :meth:`label_coords` at most once, so the volume must not
+    change after construction.
+    """
 
     volume: Volume3D
     label_names: dict[int, str]
+    label_set: set[int] = field(init=False, repr=False, compare=False)
+    _coords: dict[int, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = self.volume.data
@@ -201,30 +209,31 @@ class LabelMask:
             raise FormatError(f"label mask must be integer-typed, got {data.dtype}")
         if data.size and data.min() < 0:
             raise FormatError("label mask contains negative values")
+        self.label_set = set(np.unique(data).tolist()) - {0}
         missing = self.label_set - set(self.label_names)
         if missing:
             raise ConfigError(f"labels {sorted(missing)} present in mask but unnamed")
-
-    @property
-    def label_set(self) -> set[int]:
-        values = np.unique(self.volume.data)
-        return {int(v) for v in values if v != 0}
 
     def label_coords(self) -> dict[int, np.ndarray]:
         """Every named label's ``np.argwhere(data == label)``, from one split.
 
         One ``np.flatnonzero`` and a stable ``argsort`` by label value keep
         each label's (n, 3) int64 indices in C order; an absent label gets (0, 3).
+        The split is made on the first call; the arrays are read-only.
         """
-        data = self.volume.data
-        flat = np.flatnonzero(data)
-        flat = flat[np.argsort(data.ravel()[flat], kind="stable")]
-        coords = np.column_stack(np.unravel_index(flat, data.shape))
-        present, starts = np.unique(data.ravel()[flat], return_index=True)
-        split = dict(zip(present.tolist(), np.split(coords, starts[1:])))
-        if 0 in self.label_names:  # the background, which the split leaves out
-            split[0] = np.argwhere(data == 0)
-        return {label: split.get(label, coords[:0]) for label in self.label_names}
+        if self._coords is None:
+            data = self.volume.data
+            flat = np.flatnonzero(data)
+            flat = flat[np.argsort(data.ravel()[flat], kind="stable")]
+            coords = np.column_stack(np.unravel_index(flat, data.shape))
+            coords.flags.writeable = False
+            present, starts = np.unique(data.ravel()[flat], return_index=True)
+            split = dict(zip(present.tolist(), np.split(coords, starts[1:])))
+            if 0 in self.label_names:  # the background, which the split leaves out
+                split[0] = np.argwhere(data == 0)
+                split[0].flags.writeable = False
+            self._coords = {label: split.get(label, coords[:0]) for label in self.label_names}
+        return dict(self._coords)
 
 
 def orientation_code(affine: np.ndarray) -> str:

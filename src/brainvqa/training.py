@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
-from .moe import MoEParams, init_moe_params, moe_backward_batch, moe_forward_batch, sigmoid, softmax
+from .moe import (
+    MoEParams, NameView, init_moe_params, moe_backward_batch, moe_forward_batch, sigmoid, softmax,
+)
 from .morphology import NOT_AVAILABLE, SPREAD_CORE_SATELLITES, SPREAD_SCATTERED, SPREAD_SINGLE
 from .regions import REGION_NAMES, VOLUME_BINS
 from .rng import stream
@@ -125,10 +127,13 @@ class MultiTaskModel:
     moe: MoEParams
     heads: dict[str, np.ndarray]
 
-    def all_arrays(self) -> dict[str, np.ndarray]:
-        merged = dict(self.moe.arrays)
-        merged.update(self.heads)
-        return merged
+    def stored_arrays(self) -> dict[str, np.ndarray]:
+        """The MoE stacks and the head arrays, each stored once."""
+        return {**self.moe.stacks, **self.heads}
+
+    def all_arrays(self) -> NameView:
+        """Every parameter by name; the MoE names are views into its stacks."""
+        return NameView(self.moe.config.n_experts, self.stored_arrays())
 
 
 @dataclass
@@ -151,8 +156,12 @@ def model_forward(model: MultiTaskModel, batch: ToyBatch):
 
 def model_loss_and_grads(
     model: MultiTaskModel, batch: ToyBatch
-) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
-    """Loss plus gradients for every parameter array (moe + heads)."""
+) -> tuple[float, dict[str, float], NameView]:
+    """Loss plus gradients for every parameter array (moe + heads).
+
+    The gradients are laid out like ``model.stored_arrays()`` and named like
+    ``model.all_arrays()``.
+    """
     e, hidden, logits, cache = model_forward(model, batch)
     total, breakdown, dlogits = multitask_loss(logits, batch.gold)
 
@@ -165,8 +174,7 @@ def model_loss_and_grads(
     n_positions = batch.v.shape[1]
     de = np.repeat(dhidden[:, None, :], n_positions, axis=1) / n_positions
     moe_grads, _ = moe_backward_batch(de, cache)
-    grads.update(moe_grads)
-    return total, breakdown, grads
+    return total, breakdown, NameView(model.moe.config.n_experts, {**moe_grads.stacks, **grads})
 
 
 def finite_difference_errors(
@@ -240,8 +248,8 @@ def train_toy(
             raise TrainingError(f"loss diverged to {loss} at step {step}")
         curve.append(loss)
         if lr != 0.0:
-            for name, arr in model.all_arrays().items():
-                arr -= lr * grads[name]
+            for key, arr in model.stored_arrays().items():
+                arr -= lr * grads.stacks[key]
         if (
             target_accuracy is not None
             and val is not None

@@ -9,12 +9,13 @@ import pytest
 
 from brainvqa import cli
 from brainvqa.cli import EXIT_NUMERIC, main
-from brainvqa.moe import MoEParams, init_moe_params, save_checkpoint
+from brainvqa.moe import init_moe_params, save_checkpoint
 from brainvqa.nifti import LabelMask, Volume3D
 from brainvqa.qagen import record_from_json
 from brainvqa.surface import marching_cubes, write_off
 from brainvqa.synthetic import write_fixture
 from conftest import edit_manifest
+from moe_helpers import save_unchecked
 
 GOLDEN = Path(__file__).parent / "data" / "golden_descriptors.jsonl"
 # The same corpus described with float-summed mesh areas and hull volumes,
@@ -322,7 +323,7 @@ class TestMoECommands:
         params = init_moe_params(1, n_experts=4, n_modalities=4, d_image=16, d_text=32)
         arrays = dict(params.arrays, **{n: np.ones(1) for n in params.arrays if n.startswith("high.")})
         ckpt = tmp_path / "params.bin"
-        save_checkpoint(ckpt, MoEParams(params.config, arrays))
+        save_unchecked(ckpt, params.config, arrays)
         assert main(["heatmap", "--params", str(ckpt), "--out", str(tmp_path / "h.csv")]) == 3
         assert "do not match its config" in capsys.readouterr().err
 
@@ -405,6 +406,18 @@ class TestMalformedJsonl:
 
     def test_eval_prediction_not_an_object(self, dataset, tmp_path, capsys):
         bad = self.damaged(dataset, tmp_path, "[1, 2]")
+        self.assert_exit_3_at_line_3(["eval", "--gold", str(dataset), "--pred", str(bad),
+                                      "--out", str(tmp_path / "r.json")], bad, capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", [1]), ("volume", 5), ("regions", 5), ("regions", [["frontal"]]),
+        ("shape", 0.5), ("spread", {"n": 1}), ("oos", True),
+    ])
+    def test_eval_prediction_field_of_wrong_type(self, dataset, tmp_path, capsys, field, value):
+        d = json.loads(dataset.read_text().splitlines()[0])
+        row = {"id": d["id"], "volume": d["gold_volume"], "regions": d["gold_regions"],
+               "shape": d["gold_shape"], "spread": d["gold_spread"], "oos": d["oos_kind"]}
+        bad = self.damaged(dataset, tmp_path, json.dumps({**row, field: value}))
         self.assert_exit_3_at_line_3(["eval", "--gold", str(dataset), "--pred", str(bad),
                                       "--out", str(tmp_path / "r.json")], bad, capsys)
 

@@ -14,6 +14,7 @@ import struct
 import tempfile
 import tracemalloc
 import zlib
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from brainvqa import cli
 from brainvqa.errors import BrainVQAError, FormatError, TruncatedFileError
+from brainvqa.metrics import evaluate_predictions
 from brainvqa.moe import init_moe_params, load_checkpoint, save_checkpoint
 from brainvqa.nifti import HEADER_SIZE, Volume3D, parse_nifti, write_nifti
 from brainvqa.qagen import descriptor_from_json, record_from_json, record_to_json, sample_questions
@@ -193,6 +195,7 @@ DESCRIPTOR_LINES = (
 RECORD_LINE = record_to_json(
     sample_questions(descriptor_from_json(GOLDEN_LINES[0]), default_bank(), 0)[0]
 )
+GOLD_RECORD = record_from_json(RECORD_LINE)
 PREDICTION_LINE = json.dumps({"id": "study_0000/Enhancing Tissue/0", "volume": "1-5%",
                               "regions": ["frontal"], "shape": "round",
                               "spread": "single lesion", "oos": None})
@@ -227,12 +230,20 @@ def one_field_mutants(draw, line: str) -> bytes:
 
 
 def read_jsonl_bytes(raw: bytes, parse) -> None:
-    """``cli._read_jsonl`` on a file holding ``raw``: a value or a FormatError."""
+    """``cli._read_jsonl`` on a file holding ``raw``: a value or a FormatError.
+
+    Each prediction it reads is also scored against one gold record with the
+    same id, which must end in a report or a FormatError too.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lines.jsonl"
         path.write_bytes(raw)
         try:
-            cli._read_jsonl(path, parse)
+            items = cli._read_jsonl(path, parse)
+            if parse is cli._prediction_from_json:
+                for pred in items:
+                    evaluate_predictions([replace(GOLD_RECORD, id=pred.id)], [pred],
+                                         resamples=3)
         except FormatError:
             pass
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +12,7 @@ from brainvqa.moe import (
     MODALITY_LEVEL,
     MoEParams,
     TOKEN_LEVEL,
+    _param_layout,
     default_granularity,
     embed_text,
     high_route,
@@ -21,11 +24,11 @@ from brainvqa.moe import (
     moe_forward_batch,
     moe_forward_oracle,
     save_checkpoint,
-    spatial_pool,
     token_count_comparison,
 )
 from brainvqa.rng import stream
 from conftest import edit_manifest, with_manifest
+from moe_helpers import save_unchecked, spatial_pool
 
 
 def randomized_params(seed, **kwargs):
@@ -381,7 +384,7 @@ class TestGranularityAndUtilities:
         else:
             arrays["expert2.bs"] = np.zeros(4)
         path = tmp_path / "params.bin"
-        save_checkpoint(path, MoEParams(params.config, arrays))
+        save_unchecked(path, params.config, arrays)
         with pytest.raises(FormatError, match="do not match its config"):
             load_checkpoint(path)
 
@@ -405,3 +408,89 @@ class TestGranularityAndUtilities:
         assert np.array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0)
         assert not np.allclose(a, c)
+
+
+class TestStackedStore:
+    """``MoEParams`` keeps one array per kind; parameter names are views into them."""
+
+    def test_names_are_contiguous_views_into_the_stacks(self):
+        params = randomized_params(40, n_experts=3, n_modalities=2, d_image=3, d_text=4)
+        for name, arr in params.arrays.items():
+            kind = name.split(".", 1)[1] if name.startswith("expert") else name
+            assert np.shares_memory(arr, params.stacks[kind]), name
+            assert arr.flags.c_contiguous, name
+        assert list(params.arrays) == [name for name, _ in _param_layout(params.config)]
+        assert len(params.arrays) == len(list(params.arrays))
+        for absent in ("Wm", "expert3.Wm", "expert01.Wm", "expert0.W9", "high.W3"):
+            assert absent not in params.arrays
+        assert params.n_parameters() == sum(a.size for a in params.stacks.values())
+
+    def test_deepcopy_is_independent(self):
+        params = randomized_params(41, n_experts=4, n_modalities=2, d_image=3, d_text=4)
+        v, cls, t = random_inputs(42, 3, 2, 3, 4)
+        before, _ = moe_forward(v, cls, t, params)
+        clone = copy.deepcopy(params)
+        for arr in clone.arrays.values():
+            arr += 0.25
+        changed, _ = moe_forward(v, cls, t, clone)
+        after, _ = moe_forward(v, cls, t, params)
+        assert np.array_equal(after, before)
+        assert not np.allclose(changed, before)
+        assert all(not np.shares_memory(a, b)
+                   for a, b in zip(params.stacks.values(), clone.stacks.values()))
+
+    @pytest.mark.parametrize("edit", ["add", "assign"])
+    def test_in_place_edit_by_name_matches_a_fresh_build(self, edit):
+        params = randomized_params(43, n_experts=3, n_modalities=2, d_image=3, d_text=4,
+                                   granularity=(MODALITY_LEVEL, TOKEN_LEVEL, TOKEN_LEVEL))
+        v, cls, t = random_inputs(44, 3, 2, 3, 4)
+        base, _ = moe_forward(v, cls, t, params)
+        for name in params.arrays:
+            edited = copy.deepcopy(params)
+            delta = stream(45, name).normal(size=edited.arrays[name].shape)
+            if edit == "add":
+                edited.arrays[name] += delta
+            else:
+                edited.arrays[name][:] = delta
+            arrays = {n: a.copy() for n, a in params.arrays.items()}
+            arrays[name] = arrays[name] + delta if edit == "add" else delta
+            fresh = MoEParams(params.config, arrays)
+            got, got_trace = moe_forward(v, cls, t, edited)
+            want, want_trace = moe_forward(v, cls, t, fresh)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(got_trace.pi_high, want_trace.pi_high), name
+            assert not np.array_equal(got, base), name
+
+    @pytest.mark.parametrize("change", ["shape", "rename", "drop", "extra"])
+    def test_mismatched_names_refused_at_construction(self, change):
+        params = randomized_params(46, n_experts=2, n_modalities=2, d_image=3, d_text=4)
+        arrays = dict(params.arrays)
+        if change == "shape":
+            arrays["high.b1"] = np.ones(1)
+        elif change == "rename":
+            arrays["expert9.Ws"] = arrays.pop("expert1.Ws")
+        elif change == "drop":
+            del arrays["expert0.bm"]
+        else:
+            arrays["expert2.bs"] = np.zeros(4)
+        with pytest.raises(FormatError, match="do not match the config"):
+            MoEParams(params.config, arrays)
+
+    # SHA-256 of the checkpoint bytes of init_moe_params(3, **config), as
+    # written before the parameters were stored as stacks.
+    @pytest.mark.parametrize("config, digest", [
+        ({}, "85744a7044b1551e65b99084be71060ab07954ab64c8f2faaeed3cf092a7f7fc"),
+        (dict(n_experts=4, n_modalities=2, d_image=48, d_text=48, hidden=12),
+         "5e03a910cac79e4036f9c129aa8f02aa242b75e95649dfeca992f2bc33e51e41"),
+        (dict(n_experts=1, n_modalities=1, d_image=1, d_text=1, hidden=1),
+         "c704df23a991e6598550a85cec29b59efa3f75a1bb45dff515368dce3d25deb8"),
+        (dict(n_experts=4, n_modalities=3, d_image=5, d_text=6, hidden=3,
+              granularity=(TOKEN_LEVEL,) * 4),
+         "2f6f355898aed6523a093935d832287ce15f79820d69be8170caf23b62f16191"),
+    ], ids=["default", "toy", "ones", "token"])
+    def test_checkpoint_bytes_pinned(self, tmp_path, config, digest):
+        path = tmp_path / "params.bvqm"
+        save_checkpoint(path, init_moe_params(3, **config))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_checkpoint(path, load_checkpoint(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -307,6 +307,26 @@ class TestLabelMask:
         assert len(coords[2]) == 1
         assert len(coords[1]) == 0
 
+    def test_label_set_and_split_are_computed_once(self, monkeypatch):
+        from brainvqa.regions import Atlas
+
+        data = np.zeros((3, 3, 3), dtype=np.int32)
+        data[0, 0, :] = 2
+        data[2, 1, 1] = 5
+        mask = LabelMask(make_volume(data), {2: "a", 5: "b"})
+        first = mask.label_coords()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("label set or split recomputed")
+
+        monkeypatch.setattr(np, "unique", fail)
+        monkeypatch.setattr(np, "flatnonzero", fail)
+        Atlas(labels=mask, region_map={2: "frontal", 5: "parietal"})
+        second = mask.label_coords()
+        assert all(second[label] is first[label] for label in first)
+        assert not first[2].flags.writeable
+        assert mask.label_set == {2, 5}
+
     @settings(max_examples=80, deadline=None)
     @given(
         hnp.arrays(

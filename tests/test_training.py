@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,16 @@ class TestTrainToy:
         assert len(set(np.round(curve, 12))) == 1
         after = task.model.all_arrays()
         assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    def test_stacked_update_matches_update_by_name(self):
+        task = tiny_task()
+        ref = copy.deepcopy(task.model)
+        _, _, grads = model_loss_and_grads(ref, task.train)
+        for name, arr in ref.all_arrays().items():
+            arr -= 0.1 * grads[name]
+        train_toy(task.train, task.model, steps=1, lr=0.1)
+        after = ref.all_arrays()
+        assert all(np.array_equal(a, after[n]) for n, a in task.model.all_arrays().items())
 
     def test_single_sample_monotone_descent(self):
         task = tiny_task(n_train=1)

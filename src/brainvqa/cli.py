@@ -44,7 +44,7 @@ from .moe import (
     save_checkpoint,
     token_count_comparison,
 )
-from .nifti import LabelMask, conform_to_ras, read_nifti_file
+from .nifti import LabelMask, Volume3D, conform_to_ras, read_nifti_file
 from .qagen import (
     TaskDescriptors,
     compute_descriptors,
@@ -142,9 +142,15 @@ def _load_atlas(args) -> Atlas:
     atlas_vol = read_nifti_file(args.atlas)
     atlas_vol = conform_to_ras(atlas_vol, (args.spacing,) * 3, "nearest")
     region_map = load_region_map(args.region_map)
-    data = atlas_vol.data.astype(np.int32)
-    mask = LabelMask(type(atlas_vol)(header=atlas_vol.header, data=data), dict(region_map))
+    mask = LabelMask(_integer_labels(atlas_vol), dict(region_map))
     return Atlas(labels=mask, region_map=region_map, provenance=str(args.atlas))
+
+
+def _integer_labels(vol: Volume3D) -> Volume3D:
+    """A float label volume truncated to int32; an integer one as it was parsed."""
+    if vol.data.dtype.kind != "f":
+        return vol
+    return Volume3D(header=vol.header, data=vol.data.astype(np.int32))
 
 
 def _study_dirs(data_dir) -> list[Path]:
@@ -169,9 +175,7 @@ def _describe_study(study_dir: Path, labels, atlas, args):
     spacing = (args.spacing,) * 3
     brain = conform_to_ras(read_nifti_file(_find_volume(study_dir, "t1")), spacing, "nearest")
     seg = conform_to_ras(read_nifti_file(_find_volume(study_dir, "seg")), spacing, "nearest")
-    if seg.data.dtype.kind == "f":
-        seg = type(seg)(header=seg.header, data=seg.data.astype(np.int32))
-    mask = LabelMask(seg, dict(labels))
+    mask = LabelMask(_integer_labels(seg), dict(labels))
     mesh_out = getattr(args, "mesh_out", None)
     if mesh_out:
         _export_meshes(study_dir.name, mask, spacing, Path(mesh_out))

@@ -1,9 +1,11 @@
 """NIfTI-1 volume parsing, writing, and RAS conformation.
 
 Only single-file NIfTI-1 (``.nii`` / ``.nii.gz``) is supported.  NIfTI-2 and
-header/image pairs are rejected with a clear error.  The in-memory layout is
-fixed: ``data[i, j, k]`` with the first index fastest-varying, matching the
-on-disk order, so downstream geometry never branches on layout.
+header/image pairs are rejected with a clear error.  ``data[i, j, k]``
+indexes the axes in on-disk order.  A parsed volume keeps the on-disk memory
+order (first index fastest-varying, Fortran order), and conforming keeps its
+input's order, so no stage copies a grid only to transpose it; geometry works
+on voxel coordinates and never depends on the memory order.
 
 Affine priority follows the de-facto standard readers: srow fields when
 ``sform_code > 0``, else the quaternion fields when ``qform_code > 0``, else a
@@ -149,9 +151,11 @@ class VolumeHeader:
 class Volume3D:
     """Dense 3D scalar grid with its header.
 
-    ``data[i, j, k]`` indexes the axes in on-disk order (first axis
-    fastest-varying).  Instances are treated as immutable after construction
-    and are safe to share read-only across workers.
+    ``data[i, j, k]`` indexes the axes in on-disk order.  The data keeps the
+    memory order it was given (Fortran order when parsed, C order or any view
+    when built from an array), so no caller may assume C order.  Instances are
+    treated as immutable after construction and are safe to share read-only
+    across workers.
     """
 
     header: VolumeHeader
@@ -193,8 +197,10 @@ class LabelMask:
     """Integer label volume plus the clinical name of each label.
 
     ``label_set`` (the nonzero labels present) is found once, at construction,
-    and the split of :meth:`label_coords` at most once, so the volume must not
-    change after construction.
+    from the values at the starts of the runs of equal voxels in memory order,
+    with no sort of the grid.  The split of :meth:`label_coords` is made at
+    most once, in memory order and then sorted to C order, so the volume must
+    not change after construction.
     """
 
     volume: Volume3D
@@ -207,9 +213,13 @@ class LabelMask:
         data = self.volume.data
         if data.dtype.kind not in "iu":
             raise FormatError(f"label mask must be integer-typed, got {data.dtype}")
-        if data.size and data.min() < 0:
+        # every value present starts a run in memory order, so the run starts
+        # hold all of them: a short array, found without sorting the grid
+        flat = data.ravel(order="K")
+        values = np.unique(np.concatenate([flat[:1], flat[1:][flat[1:] != flat[:-1]]]))
+        if values[0] < 0:
             raise FormatError("label mask contains negative values")
-        self.label_set = set(np.unique(data).tolist()) - {0}
+        self.label_set = set(values.tolist()) - {0}
         missing = self.label_set - set(self.label_names)
         if missing:
             raise ConfigError(f"labels {sorted(missing)} present in mask but unnamed")
@@ -217,17 +227,25 @@ class LabelMask:
     def label_coords(self) -> dict[int, np.ndarray]:
         """Every named label's ``np.argwhere(data == label)``, from one split.
 
-        One ``np.flatnonzero`` and a stable ``argsort`` by label value keep
-        each label's (n, 3) int64 indices in C order; an absent label gets (0, 3).
+        One ``np.flatnonzero`` in the volume's memory order, then a
+        ``np.lexsort`` by (label, C-order flat index), keeps each label's
+        (n, 3) int64 indices in C order; an absent label gets (0, 3).
         The split is made on the first call; the arrays are read-only.
         """
         if self._coords is None:
             data = self.volume.data
-            flat = np.flatnonzero(data)
-            flat = flat[np.argsort(data.ravel()[flat], kind="stable")]
-            coords = np.column_stack(np.unravel_index(flat, data.shape))
+            # an explicit order for both ravel and unravel: "K" on a flipped
+            # or strided view matches neither
+            order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
+            flat = data.ravel(order=order)
+            nonzero = np.flatnonzero(flat != 0)  # a boolean scan is the fast one
+            index = np.unravel_index(nonzero, data.shape, order=order)
+            c_flat = nonzero if order == "C" else np.ravel_multi_index(index, data.shape)
+            values = flat[nonzero]
+            sort = np.lexsort((c_flat, values))
+            coords = np.column_stack(index)[sort]
             coords.flags.writeable = False
-            present, starts = np.unique(data.ravel()[flat], return_index=True)
+            present, starts = np.unique(values[sort], return_index=True)
             split = dict(zip(present.tolist(), np.split(coords, starts[1:])))
             if 0 in self.label_names:  # the background, which the split leaves out
                 split[0] = np.argwhere(data == 0)
@@ -494,6 +512,8 @@ def conform_to_ras(
       every vector steps evenly, as for the identity, flips and integer
       downsampling), so memory beyond the input and the output is
       O(sum of the output dims), plus one gathered copy for uneven steps.
+      The output has the input's memory order (Fortran when the input is
+      Fortran-contiguous, else C), so the identity is one contiguous copy.
     - Oblique affines, and ``trilinear`` for any affine, map every output
       voxel through the inverse affine, one slab of whole output rows (first
       axis) at a time.  The float64 and int64 coordinate temporaries cover at
@@ -575,7 +595,8 @@ def _nearest_separable(
     """
     spacing = np.diag(header.affine)[:3]
     origin = header.affine[:3, 3]
-    out = np.zeros(header.dims, dtype=data.dtype)
+    # the input's memory order, so that the identity is one contiguous copy
+    out = np.zeros(header.dims, dtype=data.dtype, order="F" if data.flags.f_contiguous else "C")
     inside, runs = [], []
     for a, axis in enumerate(perm):
         world = np.arange(header.dims[a], dtype=np.float64) * spacing[a] + origin[a]

@@ -10,7 +10,7 @@ import pytest
 from brainvqa import cli
 from brainvqa.cli import EXIT_NUMERIC, main
 from brainvqa.moe import init_moe_params, save_checkpoint
-from brainvqa.nifti import LabelMask, Volume3D
+from brainvqa.nifti import LabelMask, Volume3D, read_nifti_file, write_nifti_file
 from brainvqa.qagen import record_from_json
 from brainvqa.surface import marching_cubes, write_off
 from brainvqa.synthetic import write_fixture
@@ -82,6 +82,22 @@ class TestDescribe:
         assert main(describe_args(fixture_dir, a, workers=1)) == 0
         assert main(describe_args(fixture_dir, b, workers=4)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32])
+    def test_atlas_dtype_does_not_change_output(self, fixture_dir, tmp_path, dtype):
+        parsed = read_nifti_file(fixture_dir / "atlas.nii.gz")
+        # a float atlas is truncated to int32, so a fraction leaves its labels as they were
+        data = parsed.data + 0.25 if np.dtype(dtype).kind == "f" else parsed.data
+        atlas_path = tmp_path / "atlas.nii.gz"
+        write_nifti_file(Volume3D.from_array(data.astype(dtype), parsed.header.pixdim,
+                                             parsed.header.affine), atlas_path)
+        args = describe_args(fixture_dir, tmp_path / "desc.jsonl")
+        args[args.index("--atlas") + 1] = str(atlas_path)
+        assert main(args) == 0
+        assert (tmp_path / "desc.jsonl").read_text() == GOLDEN.read_text()
+        namespace = cli.build_parser().parse_args(args)
+        loaded = cli._load_atlas(namespace).labels.volume.data
+        assert loaded.dtype == (np.int32 if np.dtype(dtype).kind == "f" else dtype)
 
     def test_missing_atlas_exit_2(self, fixture_dir, tmp_path):
         args = describe_args(fixture_dir, tmp_path / "x.jsonl")

@@ -165,6 +165,24 @@ class TestSeparablePath:
             assert_identical(conform_to_ras(vol, spacing, "nearest"),
                              full_grid_conform(vol, spacing, "nearest"))
 
+    SEPARABLE_AFFINES = {
+        "identity": np.eye(4),
+        "flipped": np.array([[-1.0, 0, 0, 4.0], [0, 1.0, 0, -2.0], [0, 0, -2.0, 1.5], [0, 0, 0, 1]]),
+        "permuted": np.array([[0, 0.9, 0, 5.0], [0, 0, -1.2, -3.0], [2.0, 0, 0, 7.3], [0, 0, 0, 1]]),
+    }
+
+    @pytest.mark.parametrize("spacing", [(1, 1, 1), (0.7, 0.7, 0.7), (2, 2, 2)])
+    @pytest.mark.parametrize("affine", sorted(SEPARABLE_AFFINES))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_output_keeps_the_input_order(self, order, affine, spacing):
+        vol = random_volume(4, (12, 9, 7), np.int16, self.SEPARABLE_AFFINES[affine])
+        vol = Volume3D(vol.header, np.asarray(vol.data, order=order))
+        out = conform_to_ras(vol, spacing, "nearest")
+        assert out.data.flags[f"{order}_CONTIGUOUS"]
+        assert out.data.flags.writeable
+        assert not np.shares_memory(out.data, vol.data)
+        assert_identical(out, full_grid_conform(vol, spacing, "nearest"))
+
     def test_oblique_affine_is_not_separable(self):
         inv = np.linalg.inv(oblique_affine(20, 12, (1, 1, 1.3), (0, 0, 0)))
         assert nifti._axis_permutation(inv[:3, :3]) is None

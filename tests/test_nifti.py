@@ -29,6 +29,29 @@ from brainvqa.nifti import (
 )
 
 
+def label_arrays():
+    return hnp.arrays(
+        st.sampled_from([np.uint8, np.int16, np.int32, np.uint16]),
+        hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
+        elements=st.integers(0, 5),
+    )
+
+
+# Memory layouts a label volume can arrive in: contiguous either way, and
+# strided, flipped and transposed views of both.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "strided": lambda a: a[::2, :, ::2],
+    "strided F": lambda a: np.asfortranarray(a)[:, ::2, :],
+    "flipped": lambda a: a[::-1, :, ::-1],
+    "flipped F": lambda a: np.asfortranarray(a)[:, ::-1, :],
+    "transposed": lambda a: a.transpose(2, 0, 1),
+    "transposed F": lambda a: np.asfortranarray(a).transpose(1, 2, 0),
+}
+layouts = st.sampled_from(sorted(LAYOUTS))
+
+
 def make_volume(data, pixdim=(1.0, 1.0, 1.0), affine=None) -> Volume3D:
     return Volume3D.from_array(np.asarray(data), pixdim=pixdim, affine=affine)
 
@@ -298,6 +321,13 @@ class TestLabelMask:
         with pytest.raises(ConfigError):
             LabelMask(make_volume(data), {1: "a"})
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_negative_label_rejected(self, layout):
+        data = np.zeros((4, 3, 5), dtype=np.int8)
+        data[2, 2, 2] = -1  # kept by every layout
+        with pytest.raises(FormatError, match="negative"):
+            LabelMask(make_volume(LAYOUTS[layout](data)), {})
+
     def test_binary_extraction(self):
         data = np.zeros((2, 2, 2), dtype=np.int16)
         data[0, 0, 0] = 2
@@ -327,19 +357,10 @@ class TestLabelMask:
         assert not first[2].flags.writeable
         assert mask.label_set == {2, 5}
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        hnp.arrays(
-            st.sampled_from([np.uint8, np.int16, np.int32, np.uint16]),
-            hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
-            elements=st.integers(0, 5),
-        ),
-        st.sets(st.integers(0, 7), max_size=4),
-        st.booleans(),
-    )
-    def test_label_coords_equal_argwhere(self, data, extra, fortran):
-        if fortran:
-            data = np.asfortranarray(data)
+    @settings(max_examples=120, deadline=None)
+    @given(label_arrays(), st.sets(st.integers(0, 7), max_size=4), layouts)
+    def test_label_coords_equal_argwhere(self, data, extra, layout):
+        data = LAYOUTS[layout](data)
         names = {int(v): f"label {v}" for v in set(np.unique(data[data != 0])) | extra}
         coords = LabelMask(make_volume(data), names).label_coords()
         assert sorted(coords) == sorted(names)
@@ -348,3 +369,19 @@ class TestLabelMask:
             assert got.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want)
 
+    @settings(max_examples=120, deadline=None)
+    @given(label_arrays(), layouts)
+    def test_label_set_equals_unique(self, data, layout):
+        data = LAYOUTS[layout](data)
+        mask = LabelMask(make_volume(data), {v: f"label {v}" for v in range(1, 6)})
+        assert mask.label_set == set(np.unique(data).tolist()) - {0}
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
+           st.sampled_from(["C", "F"]))
+    def test_label_set_when_every_voxel_starts_a_run(self, shape, order):
+        # neighbours in memory order always differ, so each voxel starts a run
+        data = (np.arange(int(np.prod(shape))) % 3).astype(np.int16).reshape(shape, order=order)
+        assert data.flags.c_contiguous if order == "C" else data.flags.f_contiguous
+        mask = LabelMask(make_volume(data), {1: "a", 2: "b"})
+        assert mask.label_set == set(np.unique(data).tolist()) - {0}

@@ -19,9 +19,9 @@ from brainvqa.qagen import (
     split_dataset,
     stats_to_csv,
 )
-from brainvqa.nifti import LabelMask, Volume3D
+from brainvqa.nifti import LabelMask, Volume3D, conform_to_ras
 from brainvqa.regions import RegionAssignment, VolumeBin
-from brainvqa.synthetic import block_atlas, sphere_mask
+from brainvqa.synthetic import block_atlas, demo_study, sphere_mask
 from brainvqa.templates import TASKS, UNSPECIFIED, default_bank
 
 
@@ -59,6 +59,30 @@ class TestComputeDescriptors:
         rc = by_label["Resection Cavity"]
         assert rc.absent
         assert rc.volume is None and rc.regions is None and rc.shape is None
+
+    def test_memory_order_and_axis_flip_do_not_change_descriptors(self):
+        dims = (32, 28, 24)
+        atlas = block_atlas(dims)
+        brain, mask = demo_study("study_a", 3, dims)
+        flip = np.diag([-1.0, 1.0, 1.0, 1.0])
+        flip[0, 3] = dims[0] - 1  # voxel i lies at x = dims[0] - 1 - i, as before the flip
+        variants = {
+            "C": lambda a: (np.ascontiguousarray(a), None),
+            "F": lambda a: (np.asfortranarray(a), None),
+            "flipped": lambda a: (np.asfortranarray(a[::-1]), flip),
+        }
+        out = {}
+        for name, variant in variants.items():
+            conformed = []
+            for vol in (brain, mask.volume):
+                data, affine = variant(vol.data)
+                conformed.append(conform_to_ras(Volume3D.from_array(data, affine=affine)))
+            study_mask = LabelMask(conformed[1], mask.label_names)
+            descs = compute_descriptors("study_a", conformed[0], study_mask, atlas, 5)
+            out[name] = [descriptor_to_json(d) for d in descs]
+        assert sum(not d.absent for d in descs) >= 2
+        assert out["F"] == out["C"]
+        assert out["flipped"] == out["C"]
 
     def test_absent_label_all_na_together(self):
         d = descriptor(absent=True)

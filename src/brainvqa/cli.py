@@ -203,6 +203,9 @@ def _export_meshes(study_id: str, mask: LabelMask, spacing, out_dir: Path) -> No
 
 
 def _compute_all_descriptors(args) -> tuple[list[TaskDescriptors], list[dict]]:
+    for flag in ("--data-dir", "--labels-config", "--atlas", "--region-map"):
+        if getattr(args, flag[2:].replace("-", "_")) is None:
+            raise ConfigError(f"describing studies needs {flag}")
     labels = _load_labels_config(args.labels_config)
     atlas = _load_atlas(args)
     dirs = _study_dirs(args.data_dir)

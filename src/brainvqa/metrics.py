@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .morphology import NOT_AVAILABLE
 from .qagen import SPREAD_CATEGORIES, DatasetRecord
 from .regions import REGION_NAMES, VOLUME_BINS
@@ -60,22 +60,6 @@ class MetricsReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _included(golds: list, task: str) -> list[int]:
-    return [i for i, g in enumerate(golds) if g != UNSPECIFIED]
-
-
-def task_accuracy(preds: list, golds: list, task: str) -> float | None:
-    """Exact-match percent over records where the task was asked.
-
-    Returns None (undefined, reported as absent) when nothing is included.
-    """
-    idx = _included(golds, task)
-    if not idx:
-        return None
-    hits = sum(1 for i in idx if preds[i] == golds[i])
-    return 100.0 * hits / len(idx)
-
-
 def _region_record_score(pred, gold) -> float:
     pred_na = pred == NOT_AVAILABLE or pred is None
     gold_na = gold == NOT_AVAILABLE
@@ -89,33 +73,67 @@ def _region_record_score(pred, gold) -> float:
     )
 
 
+def _scores(preds: list, golds: list, region: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record ``(included, score)``: whether the task was asked (gold not
+    Unspecified), and the int 0/1 exact-match hit or the float region credit."""
+    asked = [g != UNSPECIFIED for g in golds]
+    if region:
+        score = np.array([_region_record_score(p, g) if a else 0.0
+                          for p, g, a in zip(preds, golds, asked)], dtype=np.float64)
+    else:
+        score = np.array([p == g for p, g in zip(preds, golds)], dtype=np.int64)
+    return np.array(asked, dtype=bool), score
+
+
+def _percent(score: np.ndarray) -> float | None:
+    """Percent of the selected records: ``100.0 * hits / count`` for int hits,
+    100 times the (pairwise, in-order) mean for float credit; None if empty."""
+    if not len(score):
+        return None
+    if score.dtype.kind == "f":
+        return 100.0 * float(np.mean(score))
+    return 100.0 * int(score.sum()) / len(score)
+
+
+def task_accuracy(preds: list, golds: list, task: str) -> float | None:
+    """Exact-match percent over records where the task was asked.
+
+    Returns None (undefined, reported as absent) when nothing is included.
+    """
+    included, hits = _scores(preds, golds, region=False)
+    return _percent(hits[included])
+
+
 def region_accuracy(preds: list, golds: list) -> float | None:
     """Mean per-label correctness per record, macro-averaged over records."""
-    idx = _included(golds, "region")
-    if not idx:
-        return None
-    return 100.0 * float(np.mean([_region_record_score(preds[i], golds[i]) for i in idx]))
+    included, credit = _scores(preds, golds, region=True)
+    return _percent(credit[included])
 
 
 def bootstrap_std(
-    metric, records: list, resamples: int = BOOTSTRAP_RESAMPLES, seed: int = 0
-) -> float:
-    """Std of ``metric(records)`` over with-replacement resamples of size n.
+    scores: dict[str, tuple[np.ndarray, np.ndarray]],
+    resamples: int = BOOTSTRAP_RESAMPLES,
+    seed: int = 0,
+) -> dict[str, float]:
+    """Std of each task's percent score over with-replacement resamples of size n.
 
-    Each resample draws from its own counter-keyed stream, so results are
-    identical under any parallel evaluation schedule.
+    ``scores`` maps a task to its per-record ``(included, score)`` vectors.
+    Resample r draws n indices once, from the counter-keyed stream
+    ``(seed, "bootstrap", r)``, and scores every task on them: results are the
+    same under any parallel schedule, and memory stays O(n).  A resample that
+    includes no record of a task is skipped for that task.
     """
-    n = len(records)
+    n = len(next(iter(scores.values()))[0]) if scores else 0
     if n == 0:
         raise FormatError("bootstrap needs at least one record")
-    values = []
+    values: dict[str, list[float]] = {task: [] for task in scores}
     for r in range(resamples):
-        rng = stream(seed, "bootstrap", r)
-        idx = rng.integers(0, n, size=n)
-        value = metric([records[i] for i in idx])
-        if value is not None:
-            values.append(value)
-    return float(np.std(values))
+        idx = stream(seed, "bootstrap", r).integers(0, n, size=n)
+        for task, (included, score) in scores.items():
+            value = _percent(score[idx[included[idx]]])
+            if value is not None:
+                values[task].append(value)
+    return {task: float(np.std(v)) for task, v in values.items()}
 
 
 def cohen_kappa(a: list, b: list) -> tuple[float, bool]:
@@ -182,58 +200,35 @@ def evaluate_predictions(
     seed: int = 0,
     resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> MetricsReport:
+    if resamples < 1:
+        raise ConfigError(f"bootstrap needs at least 1 resample, got {resamples}")
     by_id = {p.id: p for p in predictions}
     missing = [r.id for r in gold_records if r.id not in by_id]
     if missing:
         raise FormatError(f"predictions missing for {len(missing)} records, e.g. {missing[:3]}")
+    preds = [by_id[rec.id] for rec in gold_records]
+    scores = {
+        task: _scores([getattr(p, "regions" if task == "region" else task) for p in preds],
+                      [rec.gold[task] for rec in gold_records], region=task == "region")
+        for task in TASKS
+    }
 
-    pairs_by_task: dict[str, list[tuple]] = {t: [] for t in TASKS}
-    oos_pairs = []
-    for rec in gold_records:
-        pred = by_id[rec.id]
-        pred_values = {
-            "volume": pred.volume,
-            "region": pred.regions,
-            "shape": pred.shape,
-            "spread": pred.spread,
-        }
-        for task in TASKS:
-            pairs_by_task[task].append((pred_values[task], rec.gold[task]))
-        if pred.oos is not None:
-            oos_pairs.append((pred.oos, rec.oos_kind))
-
-    accuracy: dict[str, float | None] = {}
-    stds: dict[str, float | None] = {}
-    counts: dict[str, int] = {"records": len(gold_records)}
-    for task in TASKS:
-        pairs = pairs_by_task[task]
-        scorer = region_accuracy if task == "region" else (
-            lambda p, g, _t=task: task_accuracy(p, g, _t)
-        )
-
-        def metric(sub_pairs, _scorer=scorer):
-            return _scorer([p for p, _ in sub_pairs], [g for _, g in sub_pairs])
-
-        accuracy[task] = metric(pairs)
-        counts[task] = len(_included([g for _, g in pairs], task))
-        stds[task] = (
-            bootstrap_std(metric, pairs, resamples=resamples, seed=seed)
-            if accuracy[task] is not None
-            else None
-        )
-    defined = [accuracy[t] for t in TASKS if accuracy[t] is not None]
-    task_mean = float(np.mean(defined)) if len(defined) == len(TASKS) else None
+    accuracy = {task: _percent(score[included]) for task, (included, score) in scores.items()}
+    counts = {"records": len(gold_records)} | {
+        task: int(included.sum()) for task, (included, _) in scores.items()}
+    defined = {task: scores[task] for task in TASKS if accuracy[task] is not None}
+    stds = dict.fromkeys(TASKS) | (
+        bootstrap_std(defined, resamples=resamples, seed=seed) if defined else {})
+    task_mean = (float(np.mean([accuracy[t] for t in defined]))
+                 if len(defined) == len(TASKS) else None)
+    oos_pairs = [(p.oos, rec.oos_kind) for p, rec in zip(preds, gold_records)
+                 if p.oos is not None]
     oos_acc = None
     if oos_pairs:
         oos_acc = 100.0 * sum(p == g for p, g in oos_pairs) / len(oos_pairs)
         counts["oos"] = len(oos_pairs)
-    return MetricsReport(
-        accuracy=accuracy,
-        bootstrap_std=stds,
-        task_mean=task_mean,
-        counts=counts,
-        oos_accuracy=oos_acc,
-    )
+    return MetricsReport(accuracy=accuracy, bootstrap_std=stds, task_mean=task_mean,
+                         counts=counts, oos_accuracy=oos_acc)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def mesh_area(mesh: SurfaceMesh) -> float:
 
 def write_off(mesh: SurfaceMesh, path) -> None:
     """Write the mesh in ASCII OFF format, atomically."""
-    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.triangles)} 0"]
-    lines += [f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
-    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
-    atomic_write(path, "\n".join(lines) + "\n")
+    nv, nt = len(mesh.vertices), len(mesh.triangles)
+    atomic_write(path, f"OFF\n{nv} {nt} 0\n"
+                 + "%.9g %.9g %.9g\n" * nv % tuple(mesh.vertices.ravel().tolist())
+                 + "3 %d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()))

@@ -373,10 +373,8 @@ def test_criterion_11_metric_fixtures():
     assert cohen_kappa(list("AABB"), list("BBAA"))[0] == pytest.approx(-1.0)
     assert cohen_kappa(list("AABB"), list("ABAB"))[0] == pytest.approx(0.0)
 
-    def acc(pairs):
-        return 100.0 * sum(p == g for p, g in pairs) / len(pairs)
-
-    assert bootstrap_std(acc, [("a", "a")] * 9, seed=0) == 0.0
+    all_hits = (np.ones(9, dtype=bool), np.ones(9, dtype=np.int64))
+    assert bootstrap_std({"shape": all_hits}, seed=0) == {"shape": 0.0}
 
     records = generate_dataset([stub_descriptor(f"s{i}", "Enhancing Tissue")
                                 for i in range(6)], default_bank(), seed=8)

@@ -105,6 +105,18 @@ class TestDescribe:
         args[idx + 1] = str(tmp_path / "missing.nii.gz")
         assert main(args) == 2
 
+    @pytest.mark.parametrize("flag", ["--data-dir", "--labels-config", "--atlas",
+                                      "--region-map"])
+    def test_missing_geometry_flag_is_config_error(self, fixture_dir, tmp_path, capsys,
+                                                   monkeypatch, flag):
+        monkeypatch.delenv("BRAINVQA_DATA_DIR", raising=False)
+        args = describe_args(fixture_dir, tmp_path / "x.jsonl")
+        idx = args.index(flag)
+        del args[idx : idx + 2]
+        assert main(args) == 2
+        assert f"needs {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_all_na_descriptor_present(self, fixture_dir, tmp_path):
         out = tmp_path / "desc.jsonl"
         main(describe_args(fixture_dir, out))
@@ -223,6 +235,14 @@ class TestGenerate:
         monkeypatch.delenv("BRAINVQA_DATA_DIR", raising=False)
         assert main(["generate", "--seed", "1", "--out", str(tmp_path / "x.jsonl")]) == 2
 
+    def test_data_dir_without_atlas_is_config_error(self, fixture_dir, tmp_path, capsys):
+        args = describe_args(fixture_dir, tmp_path / "x.jsonl")
+        idx = args.index("--atlas")
+        del args[idx : idx + 2]
+        args[0] = "generate"
+        assert main(args + ["--seed", "1"]) == 2
+        assert "needs --atlas" in capsys.readouterr().err
+
     def test_env_var_supplies_data_dir(self, fixture_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("BRAINVQA_DATA_DIR", str(fixture_dir / "studies"))
         out = tmp_path / "env.jsonl"
@@ -279,6 +299,14 @@ class TestStatsSplitEval:
         assert report["task_mean"] == 100.0
         assert report["oos_accuracy"] == 100.0
         assert report["kappa"]["mean"] == 100.0
+
+    @pytest.mark.parametrize("resamples", ["0", "-3"])
+    def test_eval_fewer_than_one_resample_exit_2(self, dataset, tmp_path, capsys, resamples):
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--gold", str(dataset), "--pred", str(dataset),
+                     "--out", str(report_path), "--resamples", resamples]) == 2
+        assert "at least 1 resample" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_eval_reports_are_deterministic(self, dataset, tmp_path):
         preds = tmp_path / "pred.jsonl"

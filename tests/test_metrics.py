@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brainvqa.errors import FormatError
+from brainvqa.errors import ConfigError, FormatError
 from brainvqa.metrics import (
     PredictionRecord,
     bootstrap_std,
@@ -15,13 +17,24 @@ from brainvqa.metrics import (
     routing_heatmap,
     task_accuracy,
 )
-from brainvqa.qagen import generate_dataset
+from brainvqa.qagen import SPREAD_CATEGORIES, DatasetRecord, generate_dataset
+from brainvqa.regions import REGION_NAMES, VOLUME_BINS
+from brainvqa.shape import SHAPE_CATEGORIES
 from brainvqa.templates import UNSPECIFIED, default_bank
 from test_qagen import descriptor
+import metrics_oracle as oracle
 
 
-def accuracy_metric(pairs):
-    return 100.0 * sum(p == g for p, g in pairs) / len(pairs)
+def hits(*values):
+    """One task whose records are all included, with these 0/1 exact-match hits."""
+    return {"t": (np.ones(len(values), dtype=bool), np.array(values, dtype=np.int64))}
+
+
+def oracle_std(pairs, resamples, seed):
+    """The per-resample bootstrap of exact-match accuracy over (pred, gold) pairs."""
+    return oracle.bootstrap_std(
+        lambda sub: oracle.task_accuracy([p for p, _ in sub], [g for _, g in sub]),
+        pairs, resamples=resamples, seed=seed)
 
 
 class TestTaskAccuracy:
@@ -75,23 +88,38 @@ class TestRegionAccuracy:
 
 class TestBootstrap:
     def test_constant_records_zero_std(self):
-        assert bootstrap_std(accuracy_metric, [("a", "a")] * 7, seed=0) == 0.0
+        assert bootstrap_std(hits(*[1] * 7), seed=0) == {"t": 0.0}
 
     def test_two_record_closed_form(self):
         # resampled accuracy is {0, 50, 100} w.p. {1/4, 1/2, 1/4}: std = sqrt(1250)
-        value = bootstrap_std(accuracy_metric, [("a", "a"), ("b", "x")], seed=3)
+        value = bootstrap_std(hits(1, 0), seed=3)["t"]
         assert value == pytest.approx(np.sqrt(1250), rel=0.02)
 
     def test_deterministic_under_seed(self):
-        records = [("a", "a"), ("b", "x"), ("c", "c")]
-        a = bootstrap_std(accuracy_metric, records, seed=11)
-        b = bootstrap_std(accuracy_metric, records, seed=11)
+        a = bootstrap_std(hits(1, 0, 1), seed=11)
+        b = bootstrap_std(hits(1, 0, 1), seed=11)
         assert a == b
-        assert a != bootstrap_std(accuracy_metric, records, seed=12)
+        assert a != bootstrap_std(hits(1, 0, 1), seed=12)
 
     def test_empty_is_error(self):
         with pytest.raises(FormatError):
-            bootstrap_std(accuracy_metric, [], seed=0)
+            bootstrap_std(hits(), seed=0)
+
+    def test_one_draw_scores_every_task(self):
+        # Every task sees the same indices, so scoring tasks together or
+        # one at a time gives the same stds.
+        scores = {"a": (np.ones(5, dtype=bool), np.array([1, 0, 0, 1, 1])),
+                  "b": (np.array([1, 1, 0, 1, 0], dtype=bool),
+                        np.array([0.5, 1.0, 0.0, 0.25, 0.0]))}
+        stds = bootstrap_std(scores, resamples=40, seed=2)
+        assert stds == {task: bootstrap_std({task: v}, resamples=40, seed=2)[task]
+                        for task, v in scores.items()}
+        assert all(v > 0.0 for v in stds.values())
+
+    def test_matches_the_per_resample_oracle(self):
+        pairs = [("a", "a"), ("b", "x"), ("c", "c"), ("d", "d")]
+        assert (bootstrap_std(hits(1, 0, 1, 1), resamples=70, seed=5)
+                == {"t": oracle_std(pairs, resamples=70, seed=5)})
 
 
 class TestCohenKappa:
@@ -197,6 +225,12 @@ class TestEvaluatePredictions:
         with pytest.raises(FormatError):
             evaluate_predictions(records, [], seed=0)
 
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_fewer_than_one_resample_is_config_error(self, resamples):
+        records = self._records()
+        with pytest.raises(ConfigError):
+            evaluate_predictions(records, [], seed=0, resamples=resamples)
+
     def test_report_json_stable(self):
         records = self._records()
         preds = [PredictionRecord(id=r.id, volume=r.gold["volume"], regions=r.gold["region"],
@@ -205,6 +239,75 @@ class TestEvaluatePredictions:
         a = evaluate_predictions(records, preds, seed=1, resamples=30).to_json()
         b = evaluate_predictions(records, preds, seed=1, resamples=30).to_json()
         assert a == b
+
+
+GOLD_CHOICES = {
+    "volume": st.sampled_from([*VOLUME_BINS, "N/A", UNSPECIFIED]),
+    "region": st.one_of(st.sampled_from(["N/A", UNSPECIFIED]),
+                        st.lists(st.sampled_from(REGION_NAMES), unique=True)),
+    "shape": st.sampled_from([*SHAPE_CATEGORIES, "N/A", UNSPECIFIED]),
+    "spread": st.sampled_from([*SPREAD_CATEGORIES, "N/A", UNSPECIFIED]),
+}
+# None, N/A, a vocabulary or free string, or a region list, for any task.
+PREDICTION = st.one_of(
+    st.none(), st.just("N/A"), st.sampled_from([*VOLUME_BINS, *SHAPE_CATEGORIES, *SPREAD_CATEGORIES]),
+    st.text(max_size=8), st.lists(st.sampled_from(REGION_NAMES), max_size=4),
+)
+OOS = ("none", "partial", "full")
+
+
+@st.composite
+def scored_corpus(draw):
+    n = draw(st.integers(1, 40))
+    # A task asked of every k-th record only: small resamples then often
+    # draw none of its records and must skip it.
+    every = {task: draw(st.integers(1, 20)) for task in GOLD_CHOICES}
+    golds, preds = [], []
+    for i in range(n):
+        gold = {task: draw(choice) if i % every[task] == 0 else UNSPECIFIED
+                for task, choice in GOLD_CHOICES.items()}
+        golds.append(DatasetRecord(
+            id=f"r{i}", study_id=f"s{i}", label_name="Enhancing Tissue", split="test",
+            question="", answer="", task_set=(), oos_kind=draw(st.sampled_from(OOS)),
+            gold=gold, template_id="t"))
+        preds.append(PredictionRecord(
+            id=f"r{i}", volume=draw(PREDICTION), regions=draw(PREDICTION),
+            shape=draw(PREDICTION), spread=draw(PREDICTION),
+            oos=draw(st.one_of(st.none(), st.sampled_from(OOS)))))
+    return golds, preds[::-1]
+
+
+class TestAgainstPerResampleOracle:
+    # A task with few included records can have no resample that draws one;
+    # its std is then NaN under both implementations (np.std of no values).
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(deadline=None)
+    @given(corpus=scored_corpus(), resamples=st.integers(1, 60),
+           seed=st.integers(0, 2**31 - 1))
+    def test_report_bytes_equal(self, corpus, resamples, seed):
+        golds, preds = corpus
+        got = evaluate_predictions(golds, preds, seed=seed, resamples=resamples).to_json()
+        want = oracle.evaluate_predictions(golds, preds, seed=seed, resamples=resamples)
+        assert got == want.to_json()
+
+    def test_resample_without_included_records_is_skipped(self):
+        # One included record in 40: about a third of the resamples miss it.
+        included = np.zeros(40, dtype=bool)
+        included[7] = True
+        hit = np.zeros(40, dtype=np.int64)
+        hit[7] = 1
+        pairs = [("a", "a" if i == 7 else UNSPECIFIED) for i in range(40)]
+        assert (bootstrap_std({"t": (included, hit)}, resamples=60, seed=0)
+                == {"t": oracle_std(pairs, resamples=60, seed=0)})
+
+    def test_point_estimates_equal(self):
+        golds = ["a", UNSPECIFIED, "N/A", "b", "c"]
+        preds = ["a", "a", "N/A", None, "c"]
+        assert task_accuracy(preds, golds, "shape") == oracle.task_accuracy(preds, golds)
+        region_golds = [["frontal"], "N/A", UNSPECIFIED, ["insula", "limbic"]]
+        region_preds = [["frontal", "insula"], None, "N/A", ["limbic"]]
+        assert (region_accuracy(region_preds, region_golds)
+                == oracle.region_accuracy(region_preds, region_golds))
 
 
 class TestNormalizer:

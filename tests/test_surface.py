@@ -256,3 +256,26 @@ class TestOffWriter:
         nv, nf, _ = map(int, lines[1].split())
         assert nv == len(mesh.vertices) and nf == len(mesh.triangles)
         assert len(lines) == 2 + nv + nf
+
+    @staticmethod
+    def reference_off_text(mesh: SurfaceMesh) -> str:
+        """The original per-row f-string formatter."""
+        lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.triangles)} 0"]
+        lines += [f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
+        lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("scale,shift", [(1.0, 0.0), (-0.37, 1e-3), (1.3e7, -4.5e6),
+                                             (1e-9, -1.0), (np.pi, -2.5e-300)])
+    def test_bytes_equal_the_per_row_formatter(self, tmp_path, scale, shift):
+        mesh = marching_cubes(random_blob(3, dims=(9, 8, 7)))
+        mesh.vertices = mesh.vertices * scale + shift
+        mesh.vertices[0] = (-0.0, 123456789.123, -1e-12)
+        path = tmp_path / "mesh.off"
+        write_off(mesh, path)
+        assert path.read_bytes() == self.reference_off_text(mesh).encode("utf-8")
+
+    def test_empty_mesh(self, tmp_path):
+        mesh = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        write_off(mesh, tmp_path / "empty.off")
+        assert (tmp_path / "empty.off").read_text() == self.reference_off_text(mesh)

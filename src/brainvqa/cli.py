@@ -109,6 +109,9 @@ def _read_jsonl(path, parse) -> list:
     return items
 
 
+PREDICTION_FIELDS = ("volume", "regions", "shape", "spread", "oos")
+
+
 def _prediction_from_json(line: str) -> PredictionRecord:
     """One prediction line; a field not of its ``PredictionRecord`` type is a TypeError."""
     d = json.loads(line)
@@ -335,6 +338,11 @@ def cmd_eval(args) -> int:
     report = evaluate_predictions(gold, preds, seed=args.seed, resamples=args.resamples)
     if args.kappa:
         report.kappa = _kappa_section(gold, args.kappa)
+    # A file without a single prediction value (a dataset, say) would score
+    # every record as "no answer"; errors of single lines are reported first.
+    if not any(getattr(p, name) is not None for p in preds for name in PREDICTION_FIELDS):
+        raise FormatError(f"{args.pred}: no line gives a prediction ("
+                          f"{', '.join(PREDICTION_FIELDS)}); is it a dataset?")
     atomic_write(args.out, report.to_json() + "\n")
     print(report.to_json())
     return 0

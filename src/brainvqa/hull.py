@@ -1,27 +1,25 @@
-"""3D convex hulls: array quickhull, and the exact hull volume of a voxel set.
+"""Exact convex-hull volumes of voxel sets, all components of a study in one call.
 
-:func:`quickhull` is Quickhull (Barber, Dobkin & Huhdanpaa 1996) as array
-code.  The faces live in arrays of vertex indices, unit normals and offsets;
-the points still outside the hull are assigned to faces with one points ×
-normals product and an ``argmax``.  Each step takes the farthest outside
-point as the apex, finds every face it sees with one product against all
-live normals, takes as horizon the visible faces' directed edges whose
-reverse is not among them, and re-assigns only the orphaned points, against
-the new faces only.  Inputs that span fewer than three dimensions raise
+:func:`voxel_hull_volumes` is the solidity denominator: per component, the
+hull of its voxel corners on the doubled lattice (``2c ± 1`` per axis).  A
+corner ``2c + s``, ``s`` in ``{-1, +1}^3``, can be a hull vertex only if voxel
+``c`` is the lowest (``s_k = -1``) or highest (``s_k = +1``) of its
+component's axis-``k`` line for all three ``k``, and, once deduplicated, only
+if no two others enclose it on an axis line.  The volume is exact: int64
+triple products of the facets with a hull vertex as origin (each >= 0, in sum
+at most 6·(2·dim)^3 < 2^51 for int16 dims), scaled once by ``sx·sy·sz / 48``.
+
+:func:`quickhull` is Quickhull (Barber, Dobkin & Huhdanpaa 1996) on integer
+points, all groups (components) in lockstep.  Relative to its group's minimum
+a coordinate is below 2^16, so a normal (cross product of edge vectors) is
+below 2^34 and a height below 2^52: exact integers in float64, and
+visibility is an exact ``> 0``.  Each round takes one apex per group with
+outside points, the point highest above its face; finds the faces it sees;
+joins it to the horizon (visible faces' directed edges whose reverse is not
+visible) in the visible faces' slots; and re-assigns the orphaned points to
+the new faces of their own group.  A finished group's faces leave the
+working arrays.  A group spanning fewer than three dimensions raises
 :class:`DegenerateHullError`.
-
-:func:`voxel_hull_volume` is the solidity denominator: the hull of a voxel
-set's corners, with the corners on the doubled lattice (``2c ± 1`` per axis,
-int64).  A corner ``2c + s``, ``s`` in ``{-1, +1}^3``, can be a hull vertex
-only if voxel ``c`` is the lowest (``s_k = -1``) or highest (``s_k = +1``)
-voxel of its axis-``k`` line for all three ``k``: otherwise the same corner
-of the neighbouring line voxel lies beyond it on that axis line.  After
-deduplication, a corner strictly between two others on an axis-parallel line
-is dropped as well.  The volume is exact: the int64 triple products of the
-hull facets with a hull vertex as origin (each is >= 0, and their sum is at
-most 6·(2·dim)^3 < 2^63 for any int16 NIfTI dims), summed and then scaled
-once by ``sx·sy·sz / 48``, so it depends on neither facet order nor the hull
-algorithm.
 """
 from __future__ import annotations
 
@@ -31,169 +29,203 @@ from .errors import DegenerateHullError
 
 # Corner offsets s in {-1, +1}^3 of a voxel on the doubled lattice.
 _CORNER_SIGNS = np.array(list(np.ndindex(2, 2, 2)), dtype=np.int64) * 2 - 1
-# Cyclic successor and predecessor of each coordinate axis or triangle corner.
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+# Cyclic successor and predecessor of each axis or triangle corner; the
+# homogeneous coordinate (column 3) maps to itself.
+_NEXT = np.array([1, 2, 0, 3])
+_PREV = np.array([2, 0, 1, 3])
+# Plane of a freed face slot: every point is 1 below it.
+_FREED = np.array([0.0, 0.0, 0.0, -1.0])
 
 
-def voxel_hull_volume(
-    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> float:
-    """Exact volume of the convex hull of a voxel set's corners, in mm^3.
+def voxel_hull_volumes(
+    components: list[np.ndarray], spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+) -> list[float]:
+    """Exact volume in mm^3 of the convex hull of each voxel set's corners.
 
-    Equals the float volume of the hull of every voxel corner up to the
-    rounding of that sum; this value is the exact lattice volume rounded once.
+    Each equals the float volume of the hull of every corner of that set up
+    to the rounding of that sum: it is the exact lattice volume rounded once.
     """
-    corners = _corner_candidates(coords)
-    # Shifted to the origin, a lattice point off a facet plane is at least
-    # 1/|integer normal| from it, which stays above quickhull's eps for
-    # components up to about 300 voxels across: its float tests decide exactly.
-    faces, pts, _ = quickhull(corners - corners.min(axis=0))
-    lattice = pts.astype(np.int64)  # integers well below 2^53
-    origin = lattice[faces[0, 0]]
+    if not components:
+        return []
+    sizes = list(map(len, components))
+    voxels = np.empty((sum(sizes), 4), dtype=np.int64)
+    voxels[:, 0] = np.repeat(np.arange(len(components)), sizes)
+    voxels[:, 1:] = np.concatenate(components)
+    corners = _corner_candidates(voxels)
+    group, lattice = corners[:, 0], corners[:, 1:]
+    faces = quickhull(lattice, group)
+    face_group = group[faces[:, 0]]
+    # A component's first corner is its lexicographic minimum, a hull vertex.
+    origin = lattice[np.searchsorted(group, face_group)]
     a, b, c = (lattice[faces[:, k]] - origin for k in range(3))
-    sixfold = int(np.sum(np.einsum("ij,ij->i", a, _cross(b, c))))
+    sixfold = np.zeros(len(components), dtype=np.int64)
+    np.add.at(sixfold, face_group, np.einsum("ij,ij->i", a, _cross(b, c)))
     sx, sy, sz = (float(s) for s in spacing)
-    return sixfold * (sx * sy * sz) / 48.0
+    return (sixfold * (sx * sy * sz) / 48.0).tolist()
 
 
-def _line_extremes(points: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the lowest and highest point of each axis-parallel line."""
-    others = [k for k in range(3) if k != axis]
-    order = np.lexsort((points[:, axis], points[:, others[1]], points[:, others[0]]))
-    line = points[order][:, others]
+def _line_extremes(rows: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the lowest and highest row of each line along column ``axis``
+    (a line: the rows equal in every other column, the component among them)."""
+    others = [k for k in range(rows.shape[1]) if k != axis]
+    order = np.lexsort(rows[:, [axis] + others[::-1]].T)  # by others, then axis
+    line = rows[order][:, others]
     new_line = np.ones(len(order) + 1, dtype=bool)
     new_line[1:-1] = (line[1:] != line[:-1]).any(axis=1)
-    lowest = np.empty(len(order), dtype=bool)
-    highest = np.empty(len(order), dtype=bool)
-    lowest[order] = new_line[:-1]
-    highest[order] = new_line[1:]
+    lowest, highest = np.empty((2, len(order)), dtype=bool)
+    lowest[order], highest[order] = new_line[:-1], new_line[1:]
     return lowest, highest
 
 
-def _corner_candidates(coords: np.ndarray) -> np.ndarray:
-    """Doubled-lattice corners (int64) that can be hull vertices of the voxel set."""
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    lo, hi = zip(*(_line_extremes(coords, k) for k in range(3)))
-    # keep[v, s]: corner s of voxel v is extreme on all three of its axis lines.
-    keep = np.ones((len(coords), 8), dtype=bool)
-    for k in range(3):
-        keep &= np.where(_CORNER_SIGNS[:, k] < 0, lo[k][:, None], hi[k][:, None])
-    voxel, corner = np.nonzero(keep)
-    corners = np.unique(2 * coords[voxel] + _CORNER_SIGNS[corner], axis=0)
+def _corner_candidates(voxels: np.ndarray) -> np.ndarray:
+    """Sorted doubled-lattice corners that can be hull vertices of their
+    component; ``voxels`` and the result are distinct rows (component, x, y, z)."""
+    lo, hi = map(np.array, zip(*(_line_extremes(voxels, k) for k in (1, 2, 3))))
+    ends = np.flatnonzero((lo | hi).all(axis=0))  # voxels that end a line on every axis
+    # keep[v, s]: corner s of voxel ends[v] is extreme on all three of its axis lines.
+    x, y, z = np.stack([lo[:, ends], hi[:, ends]], axis=-1)  # per axis: sign -1, +1
+    keep = x[:, :, None, None] & y[:, None, :, None] & z[:, None, None, :]
+    voxel, corner = np.nonzero(keep.reshape(-1, 8))
+    corners = voxels[ends[voxel]] * (1, 2, 2, 2)
+    corners[:, 1:] += _CORNER_SIGNS[corner]
+    corners = corners[np.lexsort(corners.T[::-1])]
+    distinct = np.ones(len(corners), dtype=bool)
+    distinct[1:] = (corners[1:] != corners[:-1]).any(axis=1)
+    corners = corners[distinct]
     extreme = np.ones(len(corners), dtype=bool)
-    for k in range(3):
+    for k in (1, 2, 3):
         lowest, highest = _line_extremes(corners, k)
         extreme &= lowest | highest
     return corners[extreme]
 
 
-def quickhull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute hull facets (outward-oriented vertex triples).
+def quickhull(points: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Outward-oriented hull facets, (F, 3) indices into ``points``, of every
+    group of (n, 3) integer points; ``group[i]`` names the hull of point i."""
+    _, gid = np.unique(group, return_inverse=True)
+    order = np.argsort(gid, kind="stable")
+    pts, gid = np.asarray(points, dtype=np.int64)[order], gid[order]
+    n = len(pts)
+    first = np.flatnonzero(np.concatenate(([True], gid[1:] != gid[:-1])))
+    pts = pts - np.minimum.reduceat(pts, first)[gid]
+    if pts.max() >= 2**16:
+        raise ValueError("a group spans 2^16 or more lattice units")
+    hom = np.ones((n, 4))  # homogeneous coordinates
+    hom[:, :3] = pts
 
-    Returns ``(faces, points, interior_point)`` where ``faces`` is (F, 3)
-    indices into ``points``, the distinct input points in sorted order.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    pts = np.unique(pts, axis=0)
-    if pts.shape[0] < 4:
-        raise DegenerateHullError(f"need at least 4 distinct points, got {pts.shape[0]}")
-    scale = float(np.abs(pts).max())
-    eps = 1e-9 * max(scale, 1.0)
+    # Simplex per group: its first point, the point farthest from it, the one
+    # farthest from their line, and the one farthest from that plane.
+    rel = pts - pts[first][gid]
+    i1 = _group_argmax(np.einsum("ij,ij->i", rel, rel), first, n)
+    off_line = _cross(rel, (pts[i1] - pts[first])[gid]).astype(np.float64)
+    i2 = _group_argmax(np.einsum("ij,ij->i", off_line, off_line), first, n)
+    lift = np.einsum("ij,ij->i", rel, _cross(pts[i1] - pts[first], pts[i2] - pts[first])[gid])
+    i3 = _group_argmax(np.abs(lift), first, n)
+    if (lift[i3] == 0).any():
+        raise DegenerateHullError("a group of points spans fewer than three dimensions")
+    above = lift[i3] > 0  # i3 above (first, i1, i2): swap i1 and i2 to face outward
+    i0, i1, i2 = first, np.where(above, i2, i1), np.where(above, i1, i2)
 
-    simplex = _initial_simplex(pts, eps)
-    interior = pts[simplex].mean(axis=0)
-    i0, i1, i2, i3 = simplex
-    tri = np.array([(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)], dtype=np.int64)
-    normal, offset = _planes(pts, tri)
-    inward = normal @ interior - offset > 0
-    tri[inward] = tri[inward][:, [0, 2, 1]]
-    normal[inward] *= -1.0
-    offset[inward] *= -1.0
-    alive = np.ones(4, dtype=bool)
+    # Face slots: vertex triples, planes (n, -n·a) and groups.  A visible disc
+    # of V faces has at most V + 2 horizon edges, and a point is apex once.
+    top = 4 * len(first)
+    tri = np.empty((2 * n + top, 3), dtype=np.int64)
+    tri[:top] = np.stack([i0, i1, i2, i0, i3, i1, i1, i3, i2, i2, i3, i0], axis=1).reshape(-1, 3)
+    plane = np.empty((len(tri), 4))
+    plane[:top] = _planes(hom, *tri[:top].T)
+    face_group = np.empty(len(tri), dtype=np.int64)
+    face_group[:top] = np.repeat(np.arange(len(first)), 4)
+    # Outside points, sorted by group: owner face slot and height above it.
+    owner, height = _assign(hom, np.arange(n), gid, plane[:top], face_group[:top])
+    live = np.flatnonzero(height > 0)
+    owner, height = owner[live], height[live]
 
-    # Points outside the hull: index, owning face and distance to its plane.
-    rest = np.ones(pts.shape[0], dtype=bool)
-    rest[simplex] = False
-    live, owner, dist = _assign(pts, np.flatnonzero(rest), normal, offset, 0, eps)
+    done, n_active = [], len(first)
+    apex_of = np.zeros(len(first), dtype=np.int64)
+    while len(live):
+        live_group = gid.take(live)
+        starts = np.flatnonzero(np.concatenate(([True], live_group[1:] != live_group[:-1])))
+        if len(starts) < n_active:  # retire the finished groups' faces
+            n_active = len(starts)
+            active = np.zeros(len(first), dtype=bool)
+            active[live_group[starts]] = True
+            used = tri[:top, 0] >= 0
+            keep = active[face_group[:top]] & used
+            done.append(tri[:top][used & ~keep])
+            owner = (np.cumsum(keep) - 1)[owner]
+            kept = tri[:top][keep], plane[:top][keep], face_group[:top][keep]
+            top = len(kept[0])
+            tri[:top], plane[:top], face_group[:top] = kept
+        apex_of[live_group.take(starts)] = live.take(_group_argmax(height, starts, len(live)))
 
-    while live.size:
-        k = int(np.argmax(dist))
-        apex = live[k]
-        visible = alive & (normal @ pts[apex] - offset > eps)
-        # New faces join the apex to the horizon: the visible faces' directed
-        # edges whose reverse is not an edge of another visible face.
-        seen = tri[visible]
-        start, end = seen.ravel(), seen[:, _NEXT].ravel()
-        edge = start * len(pts) + end
-        reverse = np.sort(end * len(pts) + start)
-        at = np.minimum(np.searchsorted(reverse, edge), len(reverse) - 1)
-        horizon = reverse[at] != edge
-        new = np.column_stack(
-            [start[horizon], end[horizon], np.full(int(horizon.sum()), apex)]
-        )
-        new_normal, new_offset = _planes(pts, new)
-        first = tri.shape[0]
-        alive[visible] = False
-        tri = np.concatenate([tri, new])
-        normal = np.concatenate([normal, new_normal])
-        offset = np.concatenate([offset, new_offset])
-        alive = np.concatenate([alive, np.ones(len(new), dtype=bool)])
+        apex_rows = hom.take(apex_of.take(face_group[:top]), axis=0)
+        visible = np.einsum("ij,ij->i", plane[:top], apex_rows) > 0
+        freed = np.flatnonzero(visible)
+        seen = tri.take(freed, axis=0)
+        start, end = seen.ravel(), seen.take(_NEXT[:3], axis=1).ravel()
+        edge = start * n + end
+        reverse = np.sort(end * n + start)
+        horizon = reverse.take(reverse.searchsorted(edge), mode="clip") != edge
+        start, end = start[horizon], end[horizon]
+        by_group = np.argsort(gid.take(start), kind="stable")
+        start, end = start.take(by_group), end.take(by_group)
+        new_group = gid.take(start)
+        apex = apex_of.take(new_group)
+        new_plane = _planes(hom, start, end, apex)
 
-        orphaned = visible[owner]
-        orphans = live[orphaned]
-        orphans = orphans[orphans != apex]
-        o_live, o_owner, o_dist = _assign(pts, orphans, new_normal, new_offset, first, eps)
-        kept = ~orphaned
-        live = np.concatenate([live[kept], o_live])
-        owner = np.concatenate([owner[kept], o_owner])
-        dist = np.concatenate([dist[kept], o_dist])
+        m = len(start)
+        if m > len(freed):
+            extra = np.arange(top, top + m - len(freed))
+            freed, top = np.concatenate([freed, extra]), top + len(extra)
+        plane[freed[m:]], tri[freed[m:], 0] = _FREED, -1
+        slots = freed[:m]
+        tri[slots, 0], tri[slots, 1], tri[slots, 2] = start, end, apex
+        plane[slots], face_group[slots] = new_plane, new_group
 
-    return tri[alive], pts, interior
+        orphan = np.flatnonzero(visible.take(owner))
+        best, height[orphan] = _assign(hom, live.take(orphan), live_group.take(orphan),
+                                       new_plane, new_group)
+        owner[orphan] = slots.take(best)
+        outside = height > 0  # an apex is on its new faces: height 0
+        live, owner, height = live[outside], owner[outside], height[outside]
+
+    done.append(tri[:top][tri[:top, 0] >= 0])
+    return order[np.concatenate(done)]
+
+
+def _assign(
+    hom: np.ndarray, points: np.ndarray, point_group: np.ndarray,
+    plane: np.ndarray, plane_group: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the row of ``plane`` (sorted by group) of its own group that
+    it is highest above, and that height; rows are padded to the widest group."""
+    lo = plane_group.searchsorted(point_group)
+    count = plane_group.searchsorted(point_group, "right") - lo
+    width = np.arange(count.max())
+    rows = np.minimum(lo[:, None] + width, len(plane) - 1)
+    heights = np.einsum("okd,od->ok", plane.take(rows, axis=0), hom.take(points, axis=0))
+    heights[width >= count[:, None]] = -np.inf
+    return lo + heights.argmax(axis=1), heights.max(axis=1)
+
+
+def _group_argmax(values: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """Index of a largest value in each run ``values[starts[i]:starts[i + 1]]``."""
+    counts = np.empty_like(starts)
+    counts[:-1], counts[-1] = starts[1:] - starts[:-1], n - starts[-1]
+    hits = np.flatnonzero(values == np.maximum.reduceat(values, starts).repeat(counts))
+    return hits.take(hits.searchsorted(starts))
+
+
+def _planes(hom: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rows ``(n, -n·a)`` with ``n = (b - a) × (c - a)``, from homogeneous points."""
+    origin = hom.take(a, axis=0)
+    plane = _cross(hom.take(b, axis=0) - origin, hom.take(c, axis=0) - origin)
+    plane[:, 3] = -np.einsum("ij,ij->i", plane, origin)
+    return plane
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (n, 3) arrays (``np.cross`` without its overhead)."""
-    return u[:, _NEXT] * v[:, _PREV] - u[:, _PREV] * v[:, _NEXT]
-
-
-def _planes(pts: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals (right-hand rule on the vertex order) and plane offsets."""
-    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    n = _cross(b - a, c - a)
-    norm = np.linalg.norm(n, axis=1, keepdims=True)
-    n = np.divide(n, norm, out=np.zeros_like(n), where=norm > 0)
-    return n, np.einsum("ij,ij->i", n, a)
-
-
-def _assign(pts, candidates, normal, offset, first, eps):
-    """Outside ``candidates`` with the face (``first`` + row) each is farthest above."""
-    heights = pts[candidates] @ normal.T - offset
-    best = np.argmax(heights, axis=1)
-    dist = heights[np.arange(len(candidates)), best]
-    outside = dist > eps
-    return candidates[outside], best[outside] + first, dist[outside]
-
-
-def _initial_simplex(pts: np.ndarray, eps: float) -> list[int]:
-    # The farthest pair among the axis-extreme points.
-    extremes = np.concatenate([pts.argmin(axis=0), pts.argmax(axis=0)])
-    gaps = np.linalg.norm(pts[extremes][:, None] - pts[extremes][None], axis=2)
-    i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    if gaps[i, j] <= eps:
-        raise DegenerateHullError("all points coincide")
-    lo, hi = int(extremes[i]), int(extremes[j])
-    line = pts[hi] - pts[lo]
-    rel = pts - pts[lo]
-    d_line = np.linalg.norm(np.cross(rel, line), axis=1)
-    third = int(np.argmax(d_line))
-    if d_line[third] <= eps * max(np.linalg.norm(line), 1.0):
-        raise DegenerateHullError("points are collinear")
-    normal = np.cross(pts[third] - pts[lo], line)
-    normal /= np.linalg.norm(normal)
-    d_plane = np.abs(rel @ normal)
-    fourth = int(np.argmax(d_plane))
-    if d_plane[fourth] <= eps:
-        raise DegenerateHullError("points are coplanar")
-    return [lo, hi, third, fourth]
-
+    """Row-wise cross product of (n, 3) rows, or of (n, 4) rows with column 3 0."""
+    k = u.shape[1]
+    return (u.take(_NEXT[:k], axis=1) * v.take(_PREV[:k], axis=1)
+            - u.take(_PREV[:k], axis=1) * v.take(_NEXT[:k], axis=1))

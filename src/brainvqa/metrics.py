@@ -57,7 +57,7 @@ class MetricsReport:
             "kappa": self.kappa,
             "flags": self.flags,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _region_record_score(pred, gold) -> float:
@@ -114,14 +114,15 @@ def bootstrap_std(
     scores: dict[str, tuple[np.ndarray, np.ndarray]],
     resamples: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
-) -> dict[str, float]:
+) -> dict[str, float | None]:
     """Std of each task's percent score over with-replacement resamples of size n.
 
     ``scores`` maps a task to its per-record ``(included, score)`` vectors.
     Resample r draws n indices once, from the counter-keyed stream
     ``(seed, "bootstrap", r)``, and scores every task on them: results are the
     same under any parallel schedule, and memory stays O(n).  A resample that
-    includes no record of a task is skipped for that task.
+    includes no record of a task is skipped for that task; a task that no
+    resample includes has no spread to report and gets None (null in JSON).
     """
     n = len(next(iter(scores.values()))[0]) if scores else 0
     if n == 0:
@@ -133,7 +134,7 @@ def bootstrap_std(
             value = _percent(score[idx[included[idx]]])
             if value is not None:
                 values[task].append(value)
-    return {task: float(np.std(v)) for task, v in values.items()}
+    return {task: float(np.std(v)) if v else None for task, v in values.items()}
 
 
 def cohen_kappa(a: list, b: list) -> tuple[float, bool]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BankError, GeometryError
+from .hull import voxel_hull_volumes
 from .morphology import (
     NOT_AVAILABLE,
     SPREAD_CORE_SATELLITES,
@@ -90,8 +91,9 @@ def compute_descriptors(
     """Run the full geometry pipeline for every configured label.
 
     All inputs must already be conformed onto the same RAS grid.  Every stage
-    takes a label's voxel coordinates from one split of the mask; a label
-    with zero voxels yields the all-N/A descriptor rather than an error.
+    takes a label's voxel coordinates from one split of the mask, and one hull
+    call serves the components of every label; a label with zero voxels
+    yields the all-N/A descriptor rather than an error.
     """
     grid = mask.volume.header.dims
     for what, dims in (("brain", brain.header.dims), ("atlas", atlas.labels.volume.header.dims)):
@@ -100,8 +102,12 @@ def compute_descriptors(
     spacing = mask.volume.header.pixdim
     brain_voxels = int(np.count_nonzero(brain.data))
     split = mask.label_coords()
+    labels = sorted(mask.label_names)
+    labelings = [connected_components(split[label], spacing) for label in labels]
+    hulls = iter(voxel_hull_volumes(
+        [coords for labeling in labelings for coords in labeling.component_coords], spacing))
     out = []
-    for label in sorted(mask.label_names):
+    for label, labeling in zip(labels, labelings):
         name = mask.label_names[label]
         coords = split[label]
         if coords.shape[0] == 0:
@@ -109,9 +115,9 @@ def compute_descriptors(
             continue
         vb = volume_bin(relative_volume(coords.shape[0], brain_voxels))
         assignment = region_overlap(coords, atlas, min_overlap_voxels)
-        labeling = connected_components(coords, spacing)
         spread = spread_classify(labeling)
-        category, agg = describe_shape(labeling, spacing)
+        category, agg = describe_shape(
+            labeling, spacing, [next(hulls) for _ in range(labeling.n_components)])
         warnings = ["volume fraction above 75%, clamped"] if vb.clamped else []
         out.append(
             TaskDescriptors(

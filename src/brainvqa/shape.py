@@ -6,9 +6,10 @@ convex-hull solidity.  Both sums are canonical and build no mesh or float
 hull: the area is ``math.fsum`` of the component crop's marching-cubes case
 counts times each case's area (:func:`surface.surface_area`), and the hull
 volume is exact on the doubled voxel-corner lattice
-(:func:`hull.voxel_hull_volume`).  Aggregation keeps the core component's
-metrics when it dominates, otherwise averages; the category comes from fixed
-sphericity and elongation thresholds with a small-volume "focus" override.
+(:func:`hull.voxel_hull_volumes`, one call for many components).  Aggregation
+keeps the core component's metrics when it dominates, otherwise averages; the
+category comes from fixed sphericity and elongation thresholds with a
+small-volume "focus" override.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GeometryError
-from .hull import voxel_hull_volume
+from .hull import voxel_hull_volumes
 from .morphology import CORE_FRACTION_THRESHOLD, NOT_AVAILABLE, ComponentLabeling
 from .surface import surface_area
 
@@ -89,13 +90,16 @@ def _regularized_axes(
 
 
 def shape_metrics(
-    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    coords: np.ndarray,
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    hull_volume: float | None = None,
 ) -> ShapeMetrics:
     """All shape metrics of one connected component given its voxel coords.
 
     The area comes from the case counts of the component's bounding-box crop
-    and the solidity from the exact hull volume of its corners; a single voxel
-    takes the same path (its surface is the octahedron, its hull the cube).
+    and the solidity from ``hull_volume``, the exact hull volume of its
+    corners (computed here when not given); a single voxel takes the same
+    path (its surface is the octahedron, its hull the cube).
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if coords.shape[0] == 0:
@@ -115,7 +119,8 @@ def shape_metrics(
     elongation = float(np.sqrt(lam[0] / lam[1]))
     flatness = float(np.sqrt(lam[2] / lam[1]))
 
-    hull_volume = voxel_hull_volume(coords, spacing)
+    if hull_volume is None:
+        hull_volume = voxel_hull_volumes([coords], spacing)[0]
     sphericity = float(np.pi ** (1.0 / 3.0) * (6.0 * volume) ** (2.0 / 3.0) / area)
     return ShapeMetrics(
         volume=volume,
@@ -127,12 +132,6 @@ def shape_metrics(
         flatness=flatness,
         solidity=volume / hull_volume,
     )
-
-
-def component_shape_metrics(
-    labeling: ComponentLabeling, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> list[ShapeMetrics]:
-    return [shape_metrics(coords, spacing) for coords in labeling.component_coords]
 
 
 def aggregate_metrics(
@@ -172,11 +171,17 @@ def shape_classify(agg: ShapeMetrics, total_volume_mm3: float) -> str:
 
 
 def describe_shape(
-    labeling: ComponentLabeling, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    labeling: ComponentLabeling,
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    hull_volumes: list[float] | None = None,
 ) -> tuple[str, ShapeMetrics | None]:
-    """Category plus aggregated metrics for a labeled mask (N/A when empty)."""
+    """Category plus aggregated metrics for a labeled mask (N/A when empty);
+    ``hull_volumes`` default to one hull call over its components."""
     if labeling.n_components == 0:
         return NOT_AVAILABLE, None
-    per_component = component_shape_metrics(labeling, spacing)
+    coords = labeling.component_coords
+    if hull_volumes is None:
+        hull_volumes = voxel_hull_volumes(coords, spacing)
+    per_component = [shape_metrics(c, spacing, h) for c, h in zip(coords, hull_volumes)]
     agg = aggregate_metrics(per_component, labeling.core_fraction, labeling.n_components)
     return shape_classify(agg, labeling.total_volume), agg

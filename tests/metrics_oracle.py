@@ -40,8 +40,11 @@ def region_accuracy(preds: list, golds: list) -> float | None:
 
 def bootstrap_std(
     metric, records: list, resamples: int = BOOTSTRAP_RESAMPLES, seed: int = 0
-) -> float:
-    """Std of ``metric(records)`` over with-replacement resamples of size n."""
+) -> float | None:
+    """Std of ``metric(records)`` over with-replacement resamples of size n.
+
+    None when ``metric`` is undefined on every resample.
+    """
     n = len(records)
     if n == 0:
         raise FormatError("bootstrap needs at least one record")
@@ -52,7 +55,7 @@ def bootstrap_std(
         value = metric([records[i] for i in idx])
         if value is not None:
             values.append(value)
-    return float(np.std(values))
+    return float(np.std(values)) if values else None
 
 
 def evaluate_predictions(gold_records, predictions, seed: int = 0,

@@ -465,6 +465,12 @@ class TestMalformedJsonl:
         self.assert_exit_3_at_line_3(["eval", "--gold", str(dataset), "--pred", str(bad),
                                       "--out", str(tmp_path / "r.json")], bad, capsys)
 
+    def test_eval_rejects_a_dataset_as_predictions(self, dataset, tmp_path, capsys):
+        assert main(["eval", "--gold", str(dataset), "--pred", str(dataset),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert f"{dataset}: no line gives a prediction" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_eval_kappa_line_not_utf8(self, dataset, tmp_path, capsys):
         bad = tmp_path / "kappa.jsonl"
         lines = dataset.read_bytes().splitlines(keepends=True)

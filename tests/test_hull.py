@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from brainvqa.errors import DegenerateHullError
-from brainvqa.hull import quickhull
 from brainvqa.rng import stream
 from conftest import random_blob
-from geometry_helpers import convex_hull_volume, voxel_corner_points
+from geometry_helpers import convex_hull_volume, float_quickhull, voxel_corner_points
 
 
 def unit_cube_corners() -> np.ndarray:
@@ -61,7 +60,7 @@ class TestHullFacets:
     def test_facets_watertight_orientation(self):
         rng = stream(5, "hullmesh")
         pts = rng.normal(size=(40, 3))
-        faces, _, _ = quickhull(pts)
+        faces, _, _ = float_quickhull(pts)
         directed = set()
         for tri in faces:
             for k in range(3):

@@ -1,9 +1,11 @@
-"""Array quickhull and the exact voxel hull volume against independent oracles.
+"""The lockstep integer quickhull and the exact voxel hull volume against oracles.
 
-``reference_quickhull`` is the original dict-and-loop implementation: faces in
-a dict, outside points assigned one at a time, visible faces found by a stack
-walk over an edge map rebuilt for every apex.  It stays here as the reference
-that ``quickhull`` must agree with, next to ``scipy.spatial.ConvexHull``.
+The oracles are ``scipy.spatial.ConvexHull`` and the two float quickhulls of
+``geometry_helpers``: ``reference_quickhull`` (dict and loop) and
+``float_quickhull`` (array code with an ``eps``, one hull per call).  The float
+contract (Gaussian clouds, flat clouds raising) is checked on those two; the
+lattice contract of the descriptor path on ``hull.quickhull`` itself, one
+component at a time and many in one call.
 """
 from __future__ import annotations
 
@@ -13,170 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainvqa.errors import DegenerateHullError
-from brainvqa.hull import _corner_candidates, quickhull, voxel_hull_volume
+from brainvqa.hull import _corner_candidates, quickhull, voxel_hull_volumes
 from conftest import random_blob
-from geometry_helpers import voxel_corner_points
+from geometry_helpers import float_quickhull, reference_quickhull, voxel_corner_points
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
-
-
-# ---------------------------------------------------------------------------
-# Reference: the original quickhull
-
-
-def reference_quickhull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    pts = np.unique(pts, axis=0)
-    if pts.shape[0] < 4:
-        raise DegenerateHullError(f"need at least 4 distinct points, got {pts.shape[0]}")
-    scale = float(np.abs(pts).max())
-    eps = 1e-9 * max(scale, 1.0)
-
-    simplex = _initial_simplex(pts, eps)
-    interior = pts[simplex].mean(axis=0)
-
-    i0, i1, i2, i3 = simplex
-    faces: dict[int, tuple[int, int, int]] = {}
-    next_id = 0
-    for tri in ((i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)):
-        faces[next_id] = _orient_outward(tri, pts, interior)
-        next_id += 1
-
-    normals = {fid: _plane(pts, tri) for fid, tri in faces.items()}
-    outside: dict[int, list[int]] = {fid: [] for fid in faces}
-    unclaimed = [i for i in range(pts.shape[0]) if i not in set(simplex)]
-    _assign(unclaimed, faces, normals, outside, pts, eps)
-
-    pending = [fid for fid, lst in outside.items() if lst]
-    while pending:
-        fid = pending.pop()
-        if fid not in faces or not outside.get(fid):
-            continue
-        cand = outside[fid]
-        n, d = normals[fid]
-        dists = pts[cand] @ n - d
-        apex = cand[int(np.argmax(dists))]
-
-        visible = _visible_faces(apex, fid, faces, normals, pts, eps)
-        horizon = _horizon_edges(visible, faces)
-
-        orphans: list[int] = []
-        for vid in visible:
-            orphans.extend(outside.pop(vid, []))
-            del faces[vid]
-            del normals[vid]
-        orphans = [p for p in set(orphans) if p != apex]
-
-        new_ids = []
-        for a, b in horizon:
-            tri = (a, b, apex)
-            tri = _orient_outward(tri, pts, interior)
-            faces[next_id] = tri
-            normals[next_id] = _plane(pts, tri)
-            outside[next_id] = []
-            new_ids.append(next_id)
-            next_id += 1
-        _assign(orphans, {i: faces[i] for i in new_ids}, normals, outside, pts, eps)
-        pending.extend(i for i in new_ids if outside[i])
-
-    face_arr = np.array(list(faces.values()), dtype=np.int64)
-    return face_arr, pts, interior
-
-
-def _initial_simplex(pts: np.ndarray, eps: float) -> list[int]:
-    lo = int(np.argmin(pts[:, 0]))
-    hi = int(np.argmax(pts[:, 0]))
-    if not np.any(np.abs(pts[lo] - pts[hi]) > eps):
-        extremes = [int(np.argmin(pts[:, k])) for k in range(3)]
-        extremes += [int(np.argmax(pts[:, k])) for k in range(3)]
-        best = (lo, hi, -1.0)
-        for i in extremes:
-            for j in extremes:
-                d = float(np.linalg.norm(pts[i] - pts[j]))
-                if d > best[2]:
-                    best = (i, j, d)
-        lo, hi, dist = best
-        if dist <= eps:
-            raise DegenerateHullError("all points coincide")
-    line = pts[hi] - pts[lo]
-    rel = pts - pts[lo]
-    cross = np.cross(rel, line)
-    d_line = np.linalg.norm(cross, axis=1)
-    third = int(np.argmax(d_line))
-    if d_line[third] <= eps * max(np.linalg.norm(line), 1.0):
-        raise DegenerateHullError("points are collinear")
-    normal = np.cross(pts[third] - pts[lo], line)
-    normal /= np.linalg.norm(normal)
-    d_plane = np.abs(rel @ normal)
-    fourth = int(np.argmax(d_plane))
-    if d_plane[fourth] <= eps:
-        raise DegenerateHullError("points are coplanar")
-    return [lo, hi, third, fourth]
-
-
-def _plane(pts: np.ndarray, tri: tuple[int, int, int]) -> tuple[np.ndarray, float]:
-    a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-    n = np.cross(b - a, c - a)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        n = np.zeros(3)
-    else:
-        n = n / norm
-    return n, float(n @ a)
-
-
-def _orient_outward(
-    tri: tuple[int, int, int], pts: np.ndarray, interior: np.ndarray
-) -> tuple[int, int, int]:
-    n, d = _plane(pts, tri)
-    if n @ interior - d > 0:
-        return (tri[0], tri[2], tri[1])
-    return tri
-
-
-def _assign(candidates, faces, normals, outside, pts, eps) -> None:
-    for p in candidates:
-        best_fid, best_dist = -1, eps
-        for fid in faces:
-            n, d = normals[fid]
-            dist = float(pts[p] @ n - d)
-            if dist > best_dist:
-                best_fid, best_dist = fid, dist
-        if best_fid >= 0:
-            outside[best_fid].append(p)
-
-
-def _visible_faces(apex, start, faces, normals, pts, eps) -> set[int]:
-    visible = set()
-    stack = [start]
-    edge_owner = {}
-    for fid, tri in faces.items():
-        for k in range(3):
-            edge_owner[(tri[k], tri[(k + 1) % 3])] = fid
-    while stack:
-        fid = stack.pop()
-        if fid in visible:
-            continue
-        n, d = normals[fid]
-        if float(pts[apex] @ n - d) > eps or fid == start:
-            visible.add(fid)
-            tri = faces[fid]
-            for k in range(3):
-                rev = (tri[(k + 1) % 3], tri[k])
-                neighbor = edge_owner.get(rev)
-                if neighbor is not None and neighbor not in visible:
-                    stack.append(neighbor)
-    return visible
-
-
-def _horizon_edges(visible, faces) -> list[tuple[int, int]]:
-    edges = []
-    for fid in visible:
-        tri = faces[fid]
-        for k in range(3):
-            edges.append((tri[k], tri[(k + 1) % 3]))
-    edge_set = set(edges)
-    return [e for e in edges if (e[1], e[0]) not in edge_set]
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +51,31 @@ def as_rows(points: np.ndarray) -> set:
     return {tuple(int(v) for v in p) for p in points}
 
 
+def corner_candidates(coords: np.ndarray) -> np.ndarray:
+    """The pruned doubled-lattice corners of one voxel set, as (m, 3) rows."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    candidates = _corner_candidates(np.column_stack([np.zeros(len(coords), np.int64), coords]))
+    assert candidates.dtype == np.int64
+    return candidates[:, 1:]
+
+
 def check_voxel_hull(coords: np.ndarray, spacing) -> None:
     full = doubled_corners(coords)
-    candidates = _corner_candidates(coords)
-    assert candidates.dtype == np.int64
-    faces, pts, _ = quickhull(candidates)
+    candidates = corner_candidates(coords)
+    faces = quickhull(candidates, np.zeros(len(candidates), dtype=np.int64))
     assert_closed_and_oriented(faces)
     ref_faces, ref_pts, _ = reference_quickhull(full)
-    sixfold = sixfold_volume(faces, pts)
+    sixfold = sixfold_volume(faces, candidates)
     assert sixfold == sixfold_volume(ref_faces, ref_pts)
 
     sx, sy, sz = spacing
-    assert voxel_hull_volume(coords, spacing) == sixfold * (sx * sy * sz) / 48.0
+    (volume,) = voxel_hull_volumes([coords], spacing)
+    assert volume == sixfold * (sx * sy * sz) / 48.0
     oracle = scipy_spatial.ConvexHull(voxel_corner_points(coords, spacing))
-    assert voxel_hull_volume(coords, spacing) == pytest.approx(oracle.volume, rel=1e-10)
+    assert volume == pytest.approx(oracle.volume, rel=1e-10)
 
     scipy_vertices = as_rows(full[oracle.vertices])
-    assert scipy_vertices <= as_rows(pts[np.unique(faces)])
+    assert scipy_vertices <= as_rows(candidates[np.unique(faces)])
     assert as_rows(candidates) <= as_rows(full)
     assert scipy_vertices <= as_rows(candidates)
 
@@ -294,8 +145,92 @@ class TestVoxelHullAgainstOracles:
         g = np.mgrid[-14:15, -11:12, -9:10]
         semi = np.array([13.5, 10.2, 8.4])[:, None, None, None]
         coords = np.argwhere(((g / semi) ** 2).sum(axis=0) <= 1.0)
-        assert len(_corner_candidates(coords)) < len(doubled_corners(coords)) // 4
+        assert len(corner_candidates(coords)) < len(doubled_corners(coords)) // 4
         check_voxel_hull(coords, (1.0, 1.0, 1.0))
+
+
+@st.composite
+def single_voxels(draw):
+    return np.array([draw(st.tuples(*[st.integers(-300, 300)] * 3))])
+
+
+@st.composite
+def blobs(draw):
+    """Random 9^3 blobs, any connectivity."""
+    seed, density = draw(st.integers(0, 10_000)), draw(st.floats(0.1, 0.5))
+    coords = np.argwhere(random_blob(seed, dims=(9, 9, 9), density=density))
+    return coords if len(coords) else np.zeros((1, 3), dtype=np.int64)
+
+
+mixed_components = st.one_of(lattice_clouds(), needles(), slabs(), single_voxels(), blobs())
+
+
+class TestLockstepBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(mixed_components, min_size=1, max_size=8), st.randoms(use_true_random=False))
+    def test_each_component_as_reference_alone_and_in_any_order(self, batch, rnd):
+        candidates = [corner_candidates(c) for c in batch]
+        points = np.concatenate(candidates)
+        group = np.repeat(np.arange(len(batch)), [len(c) for c in candidates])
+        rows = list(range(len(points)))
+        rnd.shuffle(rows)  # any point order, one call
+        points, group = points[rows], group[rows]
+        faces = quickhull(points, group)
+        face_group = group[faces[:, 0]]
+        assert (group[faces] == face_group[:, None]).all()
+        for k, coords in enumerate(batch):
+            own = faces[face_group == k]
+            assert_closed_and_oriented(own)
+            ref_faces, ref_pts, _ = reference_quickhull(doubled_corners(coords))
+            assert sixfold_volume(own, points) == sixfold_volume(ref_faces, ref_pts)
+
+        volumes = voxel_hull_volumes(batch)
+        assert volumes == [voxel_hull_volumes([coords])[0] for coords in batch]
+        order = list(range(len(batch)))
+        rnd.shuffle(order)
+        assert voxel_hull_volumes([batch[k] for k in order]) == [volumes[k] for k in order]
+
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            np.array([[4, 4, 4]]),
+            np.array([[0, 0, 0], [2, 2, 2], [4, 4, 4], [8, 8, 8]]),
+            np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0]]),
+            np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [6, 4, 0]]),
+        ],
+    )
+    def test_a_flat_group_raises(self, flat):
+        cube = corner_candidates(np.array([[1, 1, 1]]))
+        points = np.concatenate([cube, flat])
+        group = np.repeat([7, 3], [len(cube), len(flat)])
+        with pytest.raises(DegenerateHullError):
+            quickhull(points, group)
+
+
+def check_closed_form(coords: np.ndarray, spacing, voxel_units: int) -> None:
+    """Hull volume of ``voxel_units`` voxel volumes: exactly, and as scipy's to 1e-10."""
+    sx, sy, sz = spacing
+    (volume,) = voxel_hull_volumes([coords], spacing)
+    assert volume == 48 * voxel_units * (sx * sy * sz) / 48.0
+    oracle = scipy_spatial.ConvexHull(voxel_corner_points(coords, spacing))
+    assert volume == pytest.approx(oracle.volume, rel=1e-10)
+
+
+class TestComponentsWiderThanThreeHundredVoxels:
+    def test_axis_needle(self):
+        coords = np.zeros((700, 3), dtype=np.int64)
+        coords[:, 0] = np.arange(700)
+        check_closed_form(coords, (0.9, 1.1, 1.3), 700)
+
+    def test_diagonal_staircase(self):
+        # Steps (i, i) and (i + 1, i) in one slice: the hull's cross-section is
+        # the hexagon (0,0) (2,0) (n+1,n-1) (n+1,n) (n-1,n) (0,1) in voxel
+        # corner units, of area 3n - 1.
+        n = 650
+        i = np.arange(n)
+        coords = np.concatenate([np.column_stack([i, i, 0 * i]),
+                                 np.column_stack([i + 1, i, 0 * i])])
+        check_closed_form(coords, (1.0, 0.8, 1.5), 3 * n - 1)
 
 
 @st.composite
@@ -315,7 +250,7 @@ class TestDegenerateInputs:
     @settings(max_examples=40, deadline=None)
     @given(flat_clouds())
     def test_flat_clouds_raise_in_both(self, pts):
-        for hull in (quickhull, reference_quickhull):
+        for hull in (float_quickhull, reference_quickhull):
             with pytest.raises(DegenerateHullError):
                 hull(pts)
 
@@ -329,7 +264,7 @@ class TestDegenerateInputs:
         ],
     )
     def test_fixed_degenerate_sets(self, pts):
-        for hull in (quickhull, reference_quickhull):
+        for hull in (float_quickhull, reference_quickhull):
             with pytest.raises(DegenerateHullError):
                 hull(pts)
 
@@ -339,7 +274,7 @@ class TestFloatCloudsAgainstReference:
     @given(seeds, st.integers(4, 120), st.floats(0.5, 10.0))
     def test_gaussian_clouds(self, seed, n, scale):
         pts = np.random.default_rng(seed).normal(size=(n, 3)) * scale
-        faces, hull_pts, _ = quickhull(pts)
+        faces, hull_pts, _ = float_quickhull(pts)
         assert_closed_and_oriented(faces)
         ref_faces, _, _ = reference_quickhull(pts)
         oracle = scipy_spatial.ConvexHull(pts)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,8 +281,7 @@ def scored_corpus(draw):
 
 class TestAgainstPerResampleOracle:
     # A task with few included records can have no resample that draws one;
-    # its std is then NaN under both implementations (np.std of no values).
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # its std is then None under both implementations.
     @settings(deadline=None)
     @given(corpus=scored_corpus(), resamples=st.integers(1, 60),
            seed=st.integers(0, 2**31 - 1))
@@ -299,6 +300,27 @@ class TestAgainstPerResampleOracle:
         pairs = [("a", "a" if i == 7 else UNSPECIFIED) for i in range(40)]
         assert (bootstrap_std({"t": (included, hit)}, resamples=60, seed=0)
                 == {"t": oracle_std(pairs, resamples=60, seed=0)})
+
+    def test_task_no_resample_draws_reports_null(self):
+        # 40 records, the volume task asked of one; the single resample of
+        # seed 1 misses it, so volume has an accuracy but no spread.
+        golds = [DatasetRecord(
+            id=f"r{i}", study_id=f"s{i}", label_name="Enhancing Tissue", split="test",
+            question="", answer="", task_set=(), oos_kind="none",
+            gold={"volume": "<1%" if i == 0 else UNSPECIFIED, "region": ["frontal"],
+                  "shape": "round", "spread": "single lesion"}, template_id="t")
+            for i in range(40)]
+        preds = [PredictionRecord(id=f"r{i}", volume="<1%", regions=["frontal"], shape="round",
+                                  spread="single lesion") for i in range(40)]
+
+        def reject(name):
+            raise AssertionError(f"report holds {name}")
+
+        report = json.loads(evaluate_predictions(golds, preds, seed=1, resamples=1).to_json(),
+                            parse_constant=reject)
+        assert report["accuracy"]["volume"] == 100.0
+        assert report["bootstrap_std"] == {"volume": None, "region": 0.0, "shape": 0.0,
+                                           "spread": 0.0}
 
     def test_point_estimates_equal(self):
         golds = ["a", UNSPECIFIED, "N/A", "b", "c"]

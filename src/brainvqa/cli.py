@@ -421,6 +421,10 @@ def cmd_moe_check(args) -> int:
 
 def cmd_moe_demo(args) -> int:
     print(_stanza("moe-demo", args))
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
+    if not np.isfinite(args.lr):
+        raise ConfigError(f"--lr must be finite, got {args.lr}")
     task = make_toy_task(seed=args.seed)
     curve = train_toy(task.train, task.model, steps=args.steps, lr=args.lr,
                       val=task.val, eval_every=25, target_accuracy=args.target)

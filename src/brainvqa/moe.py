@@ -19,6 +19,21 @@ granularities at once.  ``MoEParams.arrays`` names the same memory:
 ``expert{n}.{kind}`` is the view ``stacks[kind][n]``, so edits by name write
 through.  Gradients are hand-derived, stacked like the parameters, and checked
 against central finite differences in the test suite.  All math is float64.
+
+A training step can pass the batched forward a workspace, a dict that the
+caller owns and keeps across steps (``training.ToyBatch.work``, one per
+batch); the forward carries it in the cache to the backward.  The expert
+projections, the routers' hidden layer and their gradients are then written
+through ``out=`` into slots of that dict (:func:`_out`) instead of fresh arrays, so
+after its first step a batch's steps allocate only input-sized arrays and
+what they return.  Slots whose tenants are never live at once are shared: the
+shared projections, dead once the forward ends, later hold the backward's
+``dspec``, and their sum over modalities later holds ``expert_out * de``.
+Nothing returned to a caller lives in a slot (the fused output, the gradients
+and the input gradients are fresh arrays); only the cache does, so it is
+valid until the next call with the same workspace.  Without a workspace every
+intermediate is fresh; the operations and their order are the same either
+way, and so are the results, bit for bit.
 """
 from __future__ import annotations
 
@@ -189,9 +204,25 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 # d_I), cls (B, N_m, d_I), t (B, d_T); fused output (B, N_I, d_T); R = B*N_I.
 # The projections and their difference are (N, N_m, R, d_T), batched like Wm.
 
+def _out(work: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Workspace slot ``name`` viewed as ``shape``, or None (a fresh result) without
+    a workspace.  A slot is allocated again only when its size changes."""
+    if work is None:
+        return None
+    size = math.prod(shape)
+    if name not in work or work[name].size != size:
+        work[name] = np.empty(size)
+    return work[name].reshape(shape)
+
+
 def moe_forward_batch(
-    v: np.ndarray, cls: np.ndarray, t: np.ndarray, params: MoEParams
+    v: np.ndarray, cls: np.ndarray, t: np.ndarray, params: MoEParams, work: dict | None = None
 ) -> tuple[np.ndarray, dict]:
+    """Fused tokens ``e`` and the cache :func:`moe_backward_batch` needs.
+
+    With a ``work`` dict the activations are written into its slots (see the
+    module docstring): ``e`` is fresh, the cache lives until the next call.
+    """
     cfg, S = params.config, params.stacks
     v, cls, t = (np.asarray(a, dtype=np.float64) for a in (v, cls, t))
     if (v.ndim != 4 or v.shape[1] < 1 or v.shape[2:] != (cfg.n_modalities, cfg.d_image)
@@ -202,7 +233,7 @@ def moe_forward_batch(
             f"(N_m={cfg.n_modalities}, d_I={cfg.d_image}, d_T={cfg.d_text})"
         )
     B, n_i, n_m, d_i = v.shape
-    N, R, H = cfg.n_experts, B * n_i, cfg.hidden
+    N, R, T, H = cfg.n_experts, B * n_i, cfg.d_text, cfg.hidden
 
     h_act = np.tanh(t @ S["high.W1"].T + S["high.b1"])
     pi_high = softmax(h_act @ S["high.W2"].T + S["high.b2"], axis=1)  # (B, N)
@@ -212,25 +243,29 @@ def moe_forward_batch(
     # output (R, N*H) builds no per-expert copy of the router input.
     W1 = S["low.W1"].reshape(N * H, n_m * d_i)
     x_tok, x_cls = v.reshape(R, n_m * d_i), cls.reshape(B, n_m * d_i)
-    pre = np.where(params.token_cols, x_tok @ W1.T, np.repeat(x_cls @ W1.T, n_i, axis=0))
-    z_act = np.tanh(pre + S["low.b1"].reshape(N * H)).reshape(R, N, H).transpose(1, 0, 2)
+    pre = np.matmul(x_tok, W1.T, out=_out(work, "pre", (R, N * H)))
+    np.copyto(pre.reshape(B, n_i, N * H), (x_cls @ W1.T)[:, None], where=~params.token_cols)
+    pre += S["low.b1"].reshape(N * H)
+    z_act = np.tanh(pre, out=pre).reshape(R, N, H).transpose(1, 0, 2)
     gate = sigmoid(z_act @ S["low.W2"].transpose(0, 2, 1) + S["low.b2"][:, None])  # (N, R, N_m)
 
     vt = np.ascontiguousarray(v.reshape(R, n_m, d_i).transpose(1, 0, 2))  # (N_m, R, d_I)
-    spec = vt @ S["Wm"].transpose(0, 1, 3, 2)  # (N, N_m, R, d_T)
+    spec = np.matmul(vt, S["Wm"].transpose(0, 1, 3, 2), out=_out(work, "spec", (N, n_m, R, T)))
     spec += S["bm"][:, :, None]
-    shared = (vt.reshape(n_m * R, d_i) @ S["Ws"].transpose(0, 2, 1)).reshape(spec.shape)
+    shared = np.matmul(vt.reshape(n_m * R, d_i), S["Ws"].transpose(0, 2, 1),
+                       out=_out(work, "shared", (N, n_m * R, T))).reshape(spec.shape)
     shared += S["bs"][:, None, None]
     diff = np.subtract(spec, shared, out=spec)
     # Sum over modalities of shared + pi * (specific - shared), the gated part as
     # one small matmul per (expert, row).
-    expert_out = (gate[:, :, None] @ diff.transpose(0, 2, 1, 3))[:, :, 0]  # (N, R, d_T)
-    expert_out += shared.sum(axis=1)
+    expert_out = np.matmul(gate[:, :, None], diff.transpose(0, 2, 1, 3),
+                           out=_out(work, "expert_out", (N, R, 1, T)))[:, :, 0]  # (N, R, d_T)
+    expert_out += shared.sum(axis=1, out=_out(work, "shared_sum", (N, R, T)))
     pi_rows = np.repeat(pi_high, n_i, axis=0)  # (R, N)
-    e = (pi_rows[:, None] @ expert_out.transpose(1, 0, 2)).reshape(B, n_i, cfg.d_text)
+    e = (pi_rows[:, None] @ expert_out.transpose(1, 0, 2)).reshape(B, n_i, T)
     return e, {"v": v, "cls": cls, "t": t, "h_act": h_act, "pi_high": pi_high,
                "pi_rows": pi_rows, "z_act": z_act, "gate": gate, "vt": vt, "diff": diff,
-               "expert_out": expert_out, "params": params}
+               "expert_out": expert_out, "params": params, "work": work}
 
 
 def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[NameView, dict]:
@@ -242,14 +277,19 @@ def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[NameView, dict]:
     B, n_i, n_m, d_i = v.shape
     N, R, T, H = cfg.n_experts, B * n_i, cfg.d_text, cfg.hidden
 
+    work = cache["work"]
     de = np.asarray(de, dtype=np.float64).reshape(R, T)
-    dpi_high = (cache["expert_out"] * de).sum(axis=2).T.reshape(B, n_i, N).sum(axis=1)
-    dout = cache["pi_rows"][:, :, None] * de[:, None]  # (R, N, d_T), equal for every modality
+    # expert_out * de takes the slot of the forward's shared.sum, dspec that of shared.
+    weighted = np.multiply(cache["expert_out"], de, out=_out(work, "shared_sum", (N, R, T)))
+    dpi_high = weighted.sum(axis=2).T.reshape(B, n_i, N).sum(axis=1)
+    dout = np.multiply(cache["pi_rows"][:, :, None], de[:, None],
+                       out=_out(work, "dout", (R, N, T)))  # (R, N, d_T), equal for every modality
     dgate = (cache["diff"].transpose(0, 2, 1, 3) @ dout.transpose(1, 0, 2)[..., None])[..., 0]
     # dspec = pi * dout is laid out so that one matmul per modality contracts experts
     # and d_T together.  The shared branch gets dout - dspec, so its gradients are
     # dout's summed over modalities minus dspec's.
-    dspec = np.multiply(gate.transpose(2, 1, 0)[..., None], dout, order="C")
+    dspec = np.multiply(gate.transpose(2, 1, 0)[..., None], dout, order="C",
+                        out=_out(work, "shared", (n_m, R, N, T)))
     dspec = dspec.reshape(n_m, R, N * T)
     G = {"Wm": (dspec.transpose(0, 2, 1) @ vt).reshape(n_m, N, T, d_i).transpose(1, 0, 2, 3),
          "bm": dspec.sum(axis=1).reshape(n_m, N, T).transpose(1, 0, 2)}
@@ -257,21 +297,26 @@ def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[NameView, dict]:
     G["Ws"] = (dout.T @ vt.sum(axis=0)).reshape(N, T, d_i) - G["Wm"].sum(axis=1)
     G["bs"] = n_m * dout.sum(axis=0).reshape(N, T) - G["bm"].sum(axis=1)
     W_diff = (S["Wm"] - S["Ws"][:, None]).transpose(1, 0, 2, 3).reshape(n_m, N * T, d_i)
-    dvt = dspec @ W_diff + dout @ S["Ws"].reshape(N * T, d_i)  # (N_m, R, d_I)
+    dvt = np.matmul(dspec, W_diff, out=_out(work, "dvt", (n_m, R, d_i)))  # (N_m, R, d_I)
+    dvt += np.matmul(dout, S["Ws"].reshape(N * T, d_i), out=_out(work, "dvt_shared", (R, d_i)))
 
     dlogit = dgate * gate * (1.0 - gate)  # (N, R, N_m)
     G["low.W2"] = dlogit.transpose(0, 2, 1) @ z_act
     G["low.b2"] = dlogit.sum(axis=1)
-    dz = ((dlogit @ S["low.W2"]) * (1.0 - z_act**2)).transpose(1, 0, 2).reshape(R, N * H)
+    dz = np.matmul(dlogit, S["low.W2"], out=_out(work, "dz", (N, R, H))).transpose(1, 0, 2)
+    dz = np.multiply(dz, 1.0 - z_act.transpose(1, 0, 2)**2,
+                     out=_out(work, "dz_rows", (R, N, H))).reshape(R, N * H)  # like `pre`
+    G["low.b1"] = dz.sum(axis=0).reshape(N, H)
     # Token-level experts' router gradient goes to the tokens, modality-level
-    # experts' to the [CLS] tokens, summed over positions.
-    dz_tok = np.where(params.token_cols, dz, 0.0)
-    dz_cls = np.where(params.token_cols, 0.0, dz).reshape(B, n_i, N * H).sum(axis=1)
+    # experts' to the [CLS] tokens, summed over positions; dz becomes the former.
+    dz_cls = np.where(params.token_cols, 0.0, dz.reshape(B, n_i, N * H).sum(axis=1))
+    dz_tok = dz
+    np.copyto(dz_tok, 0.0, where=~params.token_cols)
     x_tok, x_cls = v.reshape(R, n_m * d_i), cls.reshape(B, n_m * d_i)
     G["low.W1"] = (dz_tok.T @ x_tok + dz_cls.T @ x_cls).reshape(N, H, n_m * d_i)
-    G["low.b1"] = dz.sum(axis=0).reshape(N, H)
     W1 = S["low.W1"].reshape(N * H, n_m * d_i)
-    dv = dvt.transpose(1, 0, 2).reshape(v.shape) + (dz_tok @ W1).reshape(v.shape)
+    dv = (dz_tok @ W1).reshape(v.shape)  # the only fresh (B, N_I, N_m, d_I) array
+    dv += dvt.transpose(1, 0, 2).reshape(v.shape)
     dcls = (dz_cls @ W1).reshape(cls.shape)
 
     # softmax jacobian, then the high router MLP
@@ -393,7 +438,7 @@ def save_checkpoint(path, params: MoEParams, extra: dict | None = None) -> None:
 def load_checkpoint(path) -> MoEParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Malformed bytes raise :class:`FormatError`, and
+    Malformed bytes and non-finite values raise :class:`FormatError`, and
     :class:`TruncatedFileError` when the file ends early.
     """
     with open(path, "rb") as fh:
@@ -420,6 +465,8 @@ def load_checkpoint(path) -> MoEParams:
             arrays[name] = np.frombuffer(raw[offset : offset + nbytes], "<f8").reshape(shape)
         except ValueError:  # more dims, or a larger extent, than numpy allows
             raise FormatError(f"checkpoint array {name} has unusable shape {shape}") from None
+        if not np.isfinite(arrays[name]).all():
+            raise FormatError(f"checkpoint array {name} holds a NaN or infinite value")
         offset += nbytes
     if offset != len(raw):
         raise FormatError(f"checkpoint has {len(raw) - offset} trailing bytes")

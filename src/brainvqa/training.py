@@ -9,10 +9,18 @@ synthetic vocabulary so gradient flow through all six terms is exercised.
 Tasks whose gold is Unspecified are masked out of their term.
 
 The optimizer is plain full-batch gradient descent.
+
+Each :class:`ToyBatch` owns the workspace of its training steps, ``work``:
+:func:`model_loss_and_grads` hands it to the fusion block, whose forward and
+backward write their activation-sized intermediates into its slots (see
+:mod:`brainvqa.moe`), so every step on a batch after the first reuses the
+same buffers, whether ``train_toy`` runs all the steps or is called once per
+step.  :func:`evaluate` and the single-sample routing pass no workspace.
+Nothing returned from a step (loss, gradients) lives in the workspace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,16 +150,21 @@ class ToyBatch:
     cls: np.ndarray  # (B, N_m, d_I)
     t: np.ndarray  # (B, d_T)
     gold: dict[str, np.ndarray]
+    # Activation buffers of training steps on this batch (moe.moe_forward_batch's work).
+    work: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.v.shape[0]
 
 
-def model_forward(model: MultiTaskModel, batch: ToyBatch):
-    e, cache = moe_forward_batch(batch.v, batch.cls, batch.t, model.moe)
+def model_forward(model: MultiTaskModel, batch: ToyBatch, work: dict | None = None):
+    """Pooled hidden state, per-task logits and the fusion block's cache.
+
+    The fused tokens are dropped once pooled, so a training step does not hold
+    them through the backward."""
+    e, cache = moe_forward_batch(batch.v, batch.cls, batch.t, model.moe, work)
     hidden = e.mean(axis=1)
-    logits = heads_forward(hidden, model.heads)
-    return e, hidden, logits, cache
+    return hidden, heads_forward(hidden, model.heads), cache
 
 
 def model_loss_and_grads(
@@ -162,7 +175,7 @@ def model_loss_and_grads(
     The gradients are laid out like ``model.stored_arrays()`` and named like
     ``model.all_arrays()``.
     """
-    e, hidden, logits, cache = model_forward(model, batch)
+    hidden, logits, cache = model_forward(model, batch, batch.work)
     total, breakdown, dlogits = multitask_loss(logits, batch.gold)
 
     grads: dict[str, np.ndarray] = {}
@@ -209,7 +222,7 @@ def finite_difference_errors(
 
 def evaluate(model: MultiTaskModel, batch: ToyBatch) -> dict[str, float]:
     """Per-task accuracy in percent (region is per-label binary accuracy)."""
-    _, _, logits, _ = model_forward(model, batch)
+    _, logits, _ = model_forward(model, batch)
     out = {}
     for task in CATEGORICAL_TASKS:
         targets = batch.gold[task]
@@ -239,7 +252,8 @@ def train_toy(
 
     Stops early once every task's held-out accuracy reaches
     ``target_accuracy`` (checked every ``eval_every`` steps).  Raises
-    :class:`TrainingError` on divergence.
+    :class:`TrainingError` on divergence: a non-finite loss at any step, or a
+    non-finite parameter after the last update.
     """
     curve: list[float] = []
     for step in range(steps):
@@ -258,6 +272,9 @@ def train_toy(
             accs = evaluate(model, val)
             if all(a >= target_accuracy for a in accs.values()):
                 break
+    bad = [key for key, arr in model.stored_arrays().items() if not np.isfinite(arr).all()]
+    if bad:
+        raise TrainingError(f"parameters {bad} are not finite after {len(curve)} steps")
     return curve
 
 

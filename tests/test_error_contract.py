@@ -5,6 +5,11 @@ Covers ``parse_nifti`` (raw and gzip-wrapped), ``load_checkpoint``,
 predictions) with arbitrary bytes and with mutations of valid inputs, plus
 gzip bombs and headers whose dims declare multi-GB payloads.  A JSONL reader
 must end in a value or a FormatError, which the CLI maps to exit code 3.
+
+Non-finite numbers have the same contract: a checkpoint holding NaN or
+infinity is a FormatError, a training run whose parameters end non-finite is
+a TrainingError (exit 4), and ``moe-demo`` refuses a step count below 1 or a
+non-finite learning rate (exit 2) before it writes anything.
 """
 from __future__ import annotations
 
@@ -24,12 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainvqa import cli
-from brainvqa.errors import BrainVQAError, FormatError, TruncatedFileError
+from brainvqa.errors import BrainVQAError, FormatError, TrainingError, TruncatedFileError
 from brainvqa.metrics import evaluate_predictions
 from brainvqa.moe import init_moe_params, load_checkpoint, save_checkpoint
 from brainvqa.nifti import HEADER_SIZE, Volume3D, parse_nifti, write_nifti
 from brainvqa.qagen import descriptor_from_json, record_from_json, record_to_json, sample_questions
 from brainvqa.templates import default_bank, parse_bank
+from brainvqa.training import make_toy_task, train_toy
 
 VALID_NIFTI = write_nifti(
     Volume3D.from_array(np.arange(60, dtype=np.int16).reshape(3, 4, 5), pixdim=(1.0, 1.5, 2.0))
@@ -171,6 +177,41 @@ class TestCheckpointBytes:
     @given(mutated(VALID_CHECKPOINT))
     def test_mutated_checkpoints(self, raw):
         ends_in_value_or_error(self.load, raw)
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_checkpoint_value_is_format_error(self, tmp_path, capsys, value):
+        params = init_moe_params(0, n_experts=2, n_modalities=2, d_image=3, d_text=4, hidden=2)
+        params.arrays["expert1.Wm"].flat[2] = value
+        path, out = tmp_path / "params.bvqm", tmp_path / "heatmap.csv"
+        save_checkpoint(path, params)
+        with pytest.raises(FormatError, match="expert1.Wm"):
+            load_checkpoint(path)
+        assert cli.main(["heatmap", "--params", str(path), "--out", str(out)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", [np.inf, np.nan])
+    def test_train_toy_refuses_non_finite_parameters(self, lr):
+        task = make_toy_task(seed=1, n_train=6, n_val=4, n_positions=3, d_image=41,
+                             d_text=41, n_experts=2, hidden=4)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="not finite"):
+            train_toy(task.train, task.model, steps=1, lr=lr)
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--steps", "0"], 2), (["--steps", "-3"], 2), (["--lr", "nan"], 2),
+        (["--lr", "inf"], 2), (["--lr=-inf"], 2), (["--steps", "2", "--lr", "1e300"], 4),
+    ])
+    def test_moe_demo_writes_nothing(self, tmp_path, capsys, flags, code):
+        out, params = tmp_path / "curve.csv", tmp_path / "params.bvqm"
+        argv = ["moe-demo", "--steps", "1", *flags, "--target", "0", "--out", str(out),
+                "--save-params", str(params)]
+        with np.errstate(all="ignore"):
+            assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert ("configuration error" if code == 2 else "numeric failure") in err
+        assert not out.exists() and not params.exists()
 
 
 class TestBankText:

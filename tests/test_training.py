@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from brainvqa.training import (
     smoothed,
     train_toy,
 )
+from brainvqa.moe import moe_backward_batch, moe_forward_batch
 from brainvqa.rng import stream
 
 
@@ -205,3 +208,65 @@ class TestTrainToy:
         accs = evaluate(task.model, task.val)
         assert set(accs) == {"volume", "region", "shape", "spread", "oos", "token"}
         assert all(0.0 <= v <= 100.0 for v in accs.values())
+
+
+class TestWorkspace:
+    """Training steps write their activations into the batch's workspace: same bytes, no
+    aliasing of anything returned, the same buffers on every step."""
+
+    def test_bytes_match_without_the_workspace_and_when_stepping_from_outside(self):
+        task = make_toy_task(seed=5, n_train=64, n_val=8)
+        models = [copy.deepcopy(task.model) for _ in range(3)]
+        curves = [train_toy(task.train, models[0], steps=60, lr=0.25), [], []]
+        fresh = dataclasses.replace(task.train, work=None)
+        for _ in range(60):
+            curves[1] += train_toy(task.train, models[1], steps=1, lr=0.25)
+            curves[2] += train_toy(fresh, models[2], steps=1, lr=0.25)
+        assert task.train.work and fresh.work is None
+        for curve, model in zip(curves[1:], models[1:]):
+            assert np.asarray(curve).tobytes() == np.asarray(curves[0]).tobytes()
+            for key, arr in model.stored_arrays().items():
+                assert arr.tobytes() == models[0].stored_arrays()[key].tobytes(), key
+
+    def test_nothing_returned_aliases_the_workspace(self):
+        task = make_toy_task(seed=6, n_train=16, n_val=4)
+        batch, model = task.train, task.model
+        e, cache = moe_forward_batch(batch.v, batch.cls, batch.t, model.moe, batch.work)
+        grads, dinputs = moe_backward_batch(stream(6, "de").normal(size=e.shape), cache)
+        _, _, step_grads = model_loss_and_grads(model, batch)
+        returned = [e, *grads.stacks.values(), *dinputs.values(), *step_grads.stacks.values()]
+        kept = [a.copy() for a in returned]
+        for arr in model.stored_arrays().values():
+            arr += 0.01 * stream(7, "perturb").normal(size=arr.shape)
+        moe_forward_batch(batch.v, batch.cls, batch.t, model.moe, batch.work)
+        model_loss_and_grads(model, batch)
+        assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
+        assert not any(np.shares_memory(a, slot)
+                       for a in returned for slot in batch.work.values())
+
+    def test_buffers_are_reused_and_evaluate_leaves_them_alone(self):
+        task = make_toy_task(seed=7, n_train=32, n_val=8)
+        train_toy(task.train, task.model, steps=1, lr=0.25)
+        work = task.train.work
+        pointers = {name: slot.ctypes.data for name, slot in work.items()}
+        contents = {name: slot.copy() for name, slot in work.items()}
+        evaluate(task.model, task.val)
+        assert {name: slot.ctypes.data for name, slot in work.items()} == pointers
+        assert all(np.array_equal(work[name], contents[name]) for name in contents)
+        assert task.val.work == {}
+        train_toy(task.train, task.model, steps=2, lr=0.25)
+        assert {name: slot.ctypes.data for name, slot in work.items()} == pointers
+
+    def test_a_step_allocates_at_most_5_mb_after_warm_up(self):
+        # B=256, the fixture of the moe_train benchmark; fresh arrays for every
+        # activation took 15 MB per step.
+        task = make_toy_task(seed=0, n_train=256, n_val=8)
+        train_toy(task.train, task.model, steps=1, lr=0.25)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_toy(task.train, task.model, steps=1, lr=0.25)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, f"{peak / 2**20:.2f} MB"

@@ -132,18 +132,21 @@ def _prediction_from_json(line: str) -> PredictionRecord:
 
 
 def _load_labels_config(path) -> dict[int, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    labels = raw.get("labels", raw)
+    """Label names from UTF-8 JSON ``{label: name}``, bare or under ``"labels"``."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        labels = raw.get("labels", raw)
         return {int(k): str(v) for k, v in labels.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"labels config {path} must map integer labels to names") from exc
+    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(
+            f"labels config {path} must be UTF-8 JSON mapping integer labels to names: {exc}"
+        ) from None
 
 
 def _load_atlas(args) -> Atlas:
     atlas_vol = read_nifti_file(args.atlas)
-    atlas_vol = conform_to_ras(atlas_vol, (args.spacing,) * 3, "nearest")
+    atlas_vol = conform_to_ras(atlas_vol, (args.spacing,) * 3)
     region_map = load_region_map(args.region_map)
     mask = LabelMask(_integer_labels(atlas_vol), dict(region_map))
     return Atlas(labels=mask, region_map=region_map, provenance=str(args.atlas))
@@ -176,8 +179,8 @@ def _find_volume(study_dir: Path, stem: str) -> Path:
 
 def _describe_study(study_dir: Path, labels, atlas, args):
     spacing = (args.spacing,) * 3
-    brain = conform_to_ras(read_nifti_file(_find_volume(study_dir, "t1")), spacing, "nearest")
-    seg = conform_to_ras(read_nifti_file(_find_volume(study_dir, "seg")), spacing, "nearest")
+    brain = conform_to_ras(read_nifti_file(_find_volume(study_dir, "t1")), spacing)
+    seg = conform_to_ras(read_nifti_file(_find_volume(study_dir, "seg")), spacing)
     mask = LabelMask(_integer_labels(seg), dict(labels))
     mesh_out = getattr(args, "mesh_out", None)
     if mesh_out:
@@ -297,8 +300,11 @@ def cmd_split(args) -> int:
     if args.descriptors:
         ids = sorted({d.study_id for d in _read_jsonl(args.descriptors, descriptor_from_json)})
     else:
-        with open(args.studies, "r", encoding="utf-8") as fh:
-            ids = sorted({line.strip() for line in fh if line.strip()})
+        try:
+            with open(args.studies, "r", encoding="utf-8") as fh:
+                ids = sorted({line.strip() for line in fh if line.strip()})
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"studies list {args.studies} is not UTF-8 text: {exc}") from None
     assignment = split_dataset(ids, args.seed)
     atomic_write(args.out, json.dumps(assignment, indent=2, sort_keys=True) + "\n")
     counts = {part: sum(1 for v in assignment.values() if v == part)

@@ -18,7 +18,10 @@ forward and backward contract these stacks directly, all experts and both
 granularities at once.  ``MoEParams.arrays`` names the same memory:
 ``expert{n}.{kind}`` is the view ``stacks[kind][n]``, so edits by name write
 through.  Gradients are hand-derived, stacked like the parameters, and checked
-against central finite differences in the test suite.  All math is float64.
+against central finite differences in the test suite.  The backward returns
+parameter gradients only: the image tokens and the prompt embedding are fixed
+inputs (no command trains them), so dL/d(v, cls, t) is never formed.  All math
+is float64.
 
 A training step can pass the batched forward a workspace, a dict that the
 caller owns and keeps across steps (``training.ToyBatch.work``, one per
@@ -29,9 +32,9 @@ after its first step a batch's steps allocate only input-sized arrays and
 what they return.  Slots whose tenants are never live at once are shared: the
 shared projections, dead once the forward ends, later hold the backward's
 ``dspec``, and their sum over modalities later holds ``expert_out * de``.
-Nothing returned to a caller lives in a slot (the fused output, the gradients
-and the input gradients are fresh arrays); only the cache does, so it is
-valid until the next call with the same workspace.  Without a workspace every
+Nothing returned to a caller lives in a slot (the fused output and the
+gradients are fresh arrays); only the cache does, so it is valid until the
+next call with the same workspace.  Without a workspace every
 intermediate is fresh; the operations and their order are the same either
 way, and so are the results, bit for bit.
 """
@@ -268,8 +271,8 @@ def moe_forward_batch(
                "expert_out": expert_out, "params": params, "work": work}
 
 
-def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[NameView, dict]:
-    """dL/d(every parameter), stacked under a :class:`NameView`, and dL/d(inputs) given dL/de."""
+def moe_backward_batch(de: np.ndarray, cache: dict) -> NameView:
+    """dL/d(every parameter) given dL/de, stacked under a :class:`NameView`."""
     params: MoEParams = cache["params"]
     S, cfg = params.stacks, params.config
     v, cls, t, h_act, pi_high, z_act, gate, vt = (
@@ -296,9 +299,6 @@ def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[NameView, dict]:
     dout = dout.reshape(R, N * T)
     G["Ws"] = (dout.T @ vt.sum(axis=0)).reshape(N, T, d_i) - G["Wm"].sum(axis=1)
     G["bs"] = n_m * dout.sum(axis=0).reshape(N, T) - G["bm"].sum(axis=1)
-    W_diff = (S["Wm"] - S["Ws"][:, None]).transpose(1, 0, 2, 3).reshape(n_m, N * T, d_i)
-    dvt = np.matmul(dspec, W_diff, out=_out(work, "dvt", (n_m, R, d_i)))  # (N_m, R, d_I)
-    dvt += np.matmul(dout, S["Ws"].reshape(N * T, d_i), out=_out(work, "dvt_shared", (R, d_i)))
 
     dlogit = dgate * gate * (1.0 - gate)  # (N, R, N_m)
     G["low.W2"] = dlogit.transpose(0, 2, 1) @ z_act
@@ -307,24 +307,21 @@ def moe_backward_batch(de: np.ndarray, cache: dict) -> tuple[NameView, dict]:
     dz = np.multiply(dz, 1.0 - z_act.transpose(1, 0, 2)**2,
                      out=_out(work, "dz_rows", (R, N, H))).reshape(R, N * H)  # like `pre`
     G["low.b1"] = dz.sum(axis=0).reshape(N, H)
-    # Token-level experts' router gradient goes to the tokens, modality-level
-    # experts' to the [CLS] tokens, summed over positions; dz becomes the former.
+    # Token-level experts' first router layer reads the tokens, modality-level
+    # experts' the [CLS] tokens, so dz pairs with the former and its sum over
+    # positions with the latter; dz becomes the former.
     dz_cls = np.where(params.token_cols, 0.0, dz.reshape(B, n_i, N * H).sum(axis=1))
     dz_tok = dz
     np.copyto(dz_tok, 0.0, where=~params.token_cols)
     x_tok, x_cls = v.reshape(R, n_m * d_i), cls.reshape(B, n_m * d_i)
     G["low.W1"] = (dz_tok.T @ x_tok + dz_cls.T @ x_cls).reshape(N, H, n_m * d_i)
-    W1 = S["low.W1"].reshape(N * H, n_m * d_i)
-    dv = (dz_tok @ W1).reshape(v.shape)  # the only fresh (B, N_I, N_m, d_I) array
-    dv += dvt.transpose(1, 0, 2).reshape(v.shape)
-    dcls = (dz_cls @ W1).reshape(cls.shape)
 
     # softmax jacobian, then the high router MLP
     dlogits = pi_high * (dpi_high - (dpi_high * pi_high).sum(axis=1, keepdims=True))
     dh = (dlogits @ S["high.W2"]) * (1.0 - h_act**2)
     G.update({"high.W1": dh.T @ t, "high.b1": dh.sum(axis=0),
               "high.W2": dlogits.T @ h_act, "high.b2": dlogits.sum(axis=0)})
-    return NameView(N, G), {"v": dv, "cls": dcls, "t": dh @ S["high.W1"]}
+    return NameView(N, G)
 
 
 # ---------------------------------------------------------------------------

@@ -493,36 +493,32 @@ def write_nifti_file(vol: Volume3D, path) -> None:
 def conform_to_ras(
     vol: Volume3D,
     target_spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    interpolation: str = "nearest",
 ) -> Volume3D:
     """Reorient to RAS and resample onto an axis-aligned grid at ``target_spacing``.
 
     The output grid covers the physical extent of the input (voxel edges, not
     centers), so conforming an already-RAS volume at its own spacing is the
-    identity and conforming is idempotent.  Masks must use ``nearest`` so
-    label values survive exactly; world coordinates of corresponding voxels
-    agree within half a voxel.
+    identity and conforming is idempotent.  Sampling is nearest-neighbour, so
+    label values survive exactly and the output keeps the input's datatype;
+    world coordinates of corresponding voxels agree within half a voxel.
 
     Two sampling paths give the same bytes; the affine alone picks one:
 
-    - ``nearest`` with an axis-aligned affine (exactly one non-zero per row
-      and column of the 3x3 block: a signed permutation times a positive
-      diagonal) is separable.  One rounded index vector per output axis picks
+    - An axis-aligned affine (exactly one non-zero per row and column of the
+      3x3 block: a signed permutation times a positive diagonal) is
+      separable.  One rounded index vector per output axis picks
       rows, columns and planes of the transposed input (a strided copy when
       every vector steps evenly, as for the identity, flips and integer
       downsampling), so memory beyond the input and the output is
       O(sum of the output dims), plus one gathered copy for uneven steps.
       The output has the input's memory order (Fortran when the input is
       Fortran-contiguous, else C), so the identity is one contiguous copy.
-    - Oblique affines, and ``trilinear`` for any affine, map every output
-      voxel through the inverse affine, one slab of whole output rows (first
-      axis) at a time.  The float64 and int64 coordinate temporaries cover at
-      most ``max(_SLAB_VOXELS, one output plane)`` voxels, so memory is the
-      output plus a bound that does not grow with the grid (``trilinear``
-      also holds one float64 copy of the input).
+    - Oblique affines map every output voxel through the inverse affine, one
+      slab of whole output rows (first axis) at a time.  The float64 and
+      int64 coordinate temporaries cover at most ``max(_SLAB_VOXELS, one
+      output plane)`` voxels, so memory is the output plus a bound that does
+      not grow with the grid.
     """
-    if interpolation not in ("nearest", "trilinear"):
-        raise ConfigError(f"unknown interpolation {interpolation!r}")
     spacing = np.asarray(target_spacing, dtype=np.float64)
     if spacing.shape != (3,) or (spacing <= 0).any():
         raise GeometryError(f"target spacing must be 3 positive reals, got {target_spacing}")
@@ -532,13 +528,12 @@ def conform_to_ras(
     except np.linalg.LinAlgError:
         raise GeometryError("affine is not invertible") from None
 
-    code = vol.header.datatype_code if interpolation == "nearest" else 64
-    header = _ras_header(vol.header, spacing, code)
+    header = _ras_header(vol.header, spacing)
     perm = _axis_permutation(inv[:3, :3])
-    if interpolation == "nearest" and perm is not None:
+    if perm is not None:
         out = _nearest_separable(vol.data, inv, perm, header)
     else:
-        out = _resample_slabs(vol.data, inv, header, interpolation)
+        out = _resample_slabs(vol.data, inv, header)
     return Volume3D(header=header, data=out)
 
 
@@ -548,8 +543,8 @@ def conform_to_ras(
 _SLAB_VOXELS = 1 << 15
 
 
-def _ras_header(header: VolumeHeader, spacing: np.ndarray, code: int) -> VolumeHeader:
-    """RAS grid at ``spacing`` covering the voxel-extent box of ``header``."""
+def _ras_header(header: VolumeHeader, spacing: np.ndarray) -> VolumeHeader:
+    """RAS grid at ``spacing`` covering the voxel-extent box of ``header``, same datatype."""
     affine = header.affine
     dims = np.asarray(header.dims, dtype=np.float64)
     lows, highs = -0.5 * np.ones(3), dims - 0.5  # voxel-extent box, not centers
@@ -569,7 +564,7 @@ def _ras_header(header: VolumeHeader, spacing: np.ndarray, code: int) -> VolumeH
         dims=tuple(int(d) for d in out_dims),
         pixdim=tuple(float(s) for s in spacing),
         affine=out_affine,
-        datatype_code=code,
+        datatype_code=header.datatype_code,
     )
 
 
@@ -627,18 +622,12 @@ def _as_slice(run: np.ndarray) -> slice | None:
     return slice(int(run[0]), stop if stop >= 0 else None, step)
 
 
-def _resample_slabs(
-    data: np.ndarray, inv: np.ndarray, header: VolumeHeader, interpolation: str
-) -> np.ndarray:
-    """Map every output voxel through ``inv``, one slab of output rows at a time."""
+def _resample_slabs(data: np.ndarray, inv: np.ndarray, header: VolumeHeader) -> np.ndarray:
+    """Nearest sampling through any ``inv``, one slab of output rows at a time."""
     nx, ny, nz = header.dims
     spacing = np.diag(header.affine)[:3]
     origin = header.affine[:3, 3]
-    if interpolation == "nearest":
-        out = np.zeros(header.dims, dtype=data.dtype)
-    else:
-        out = np.zeros(header.dims, dtype=np.float64)
-        values = data.astype(np.float64)
+    out = np.zeros(header.dims, dtype=data.dtype)
     rows = max(1, _SLAB_VOXELS // (ny * nz))
     for i0 in range(0, nx, rows):
         i1 = min(nx, i0 + rows)
@@ -649,31 +638,8 @@ def _resample_slabs(
         world_pts = out_idx * spacing + origin
         src = (inv[:3, :3] @ world_pts.T).T + inv[:3, 3]
         slab = out[i0:i1].reshape(-1)
-        if interpolation == "nearest":
-            nearest = np.rint(src).astype(np.int64)
-            valid = ((nearest >= 0) & (nearest < data.shape)).all(axis=1)
-            nv = nearest[valid]
-            slab[valid] = data[nv[:, 0], nv[:, 1], nv[:, 2]]
-        else:
-            slab[:] = _trilinear_sample(values, src)
-    return out
-
-
-def _trilinear_sample(values: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Sample float64 ``values`` at fractional voxel coordinates, zero outside."""
-    base = np.floor(src).astype(np.int64)
-    frac = src - base
-    out = np.zeros(src.shape[0], dtype=np.float64)
-    for corner in np.ndindex(2, 2, 2):
-        offs = np.asarray(corner, dtype=np.int64)
-        idx = base + offs
-        weight = np.ones(src.shape[0])
-        for axis in range(3):
-            w_axis = frac[:, axis] if corner[axis] else 1.0 - frac[:, axis]
-            weight = weight * w_axis
-        valid = ((idx >= 0) & (idx < values.shape)).all(axis=1)
-        contrib = np.zeros_like(out)
-        iv = idx[valid]
-        contrib[valid] = values[iv[:, 0], iv[:, 1], iv[:, 2]]
-        out += weight * contrib
+        nearest = np.rint(src).astype(np.int64)
+        valid = ((nearest >= 0) & (nearest < data.shape)).all(axis=1)
+        nv = nearest[valid]
+        slab[valid] = data[nv[:, 0], nv[:, 1], nv[:, 2]]
     return out

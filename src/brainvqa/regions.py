@@ -67,13 +67,14 @@ class Atlas:
 
 
 def load_region_map(path) -> dict[int, str]:
-    """Read an integer-label -> region-name JSON map."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read an integer-label -> region-name UTF-8 JSON map."""
     try:
-        return {int(k): str(v) for k, v in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"region map {path} must map integer labels to names") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return {int(k): str(v) for k, v in json.load(fh).items()}
+    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(
+            f"region map {path} must be UTF-8 JSON mapping integer labels to names: {exc}"
+        ) from None
 
 
 def relative_volume(voxels: int, brain_voxels: int) -> float:

@@ -123,8 +123,8 @@ def surface_area(
     """Area in mm^2 of the marching-cubes surface of a binary mask, without a mesh.
 
     ``math.fsum`` of the case counts of the one-voxel zero-padded mask times
-    :func:`case_area`; it equals ``mesh_area(marching_cubes(mask, spacing))``
-    up to the rounding of that sum.
+    :func:`case_area`; it equals ``triangle_areas(marching_cubes(mask,
+    spacing)).sum()`` up to the rounding of the two sums.
     """
     mask = np.asarray(mask)
     if mask.ndim != 3:
@@ -187,11 +187,6 @@ def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
     r = mesh.vertices[mesh.triangles[:, 2]]
     cross = np.cross(q - p, r - p)
     return 0.5 * np.linalg.norm(cross, axis=1)
-
-
-def mesh_area(mesh: SurfaceMesh) -> float:
-    """Total surface area in mm^2 (half cross-product magnitude per triangle)."""
-    return float(triangle_areas(mesh).sum())
 
 
 def write_off(mesh: SurfaceMesh, path) -> None:

@@ -162,8 +162,12 @@ def validate_bank(bank: TemplateBank) -> None:
 
 
 def load_bank(path) -> TemplateBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_bank(fh.read(), provenance=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BankError(f"bank {path} is not UTF-8 text: {exc}") from None
+    return parse_bank(text, provenance=str(path))
 
 
 def default_bank() -> TemplateBank:

@@ -8,7 +8,9 @@ bits per record), and a next-token proxy cross-entropy over a small
 synthetic vocabulary so gradient flow through all six terms is exercised.
 Tasks whose gold is Unspecified are masked out of their term.
 
-The optimizer is plain full-batch gradient descent.
+The optimizer is plain full-batch gradient descent.  Only the fusion block
+and the heads are trained; the image tokens and prompt embeddings are fixed
+inputs, so the backward stops at the parameters and forms no gradient for them.
 
 Each :class:`ToyBatch` owns the workspace of its training steps, ``work``:
 :func:`model_loss_and_grads` hands it to the fusion block, whose forward and
@@ -186,7 +188,7 @@ def model_loss_and_grads(
         dhidden += dlogits[task] @ model.heads[f"head_{task}.W"]
     n_positions = batch.v.shape[1]
     de = np.repeat(dhidden[:, None, :], n_positions, axis=1) / n_positions
-    moe_grads, _ = moe_backward_batch(de, cache)
+    moe_grads = moe_backward_batch(de, cache)
     return total, breakdown, NameView(model.moe.config.n_experts, {**moe_grads.stacks, **grads})
 
 

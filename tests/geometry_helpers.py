@@ -3,8 +3,9 @@
 The descriptor path needs none of these: it takes the area from case counts
 (``surface.surface_area``) and the solidity from the exact lattice hull volume
 (``hull.voxel_hull_volumes``).  What stays here checks those against meshes
-and float hulls: edge closure and winding of a mesh, the analytic mesh of one
-voxel, and the float hull volume of a point cloud or of a voxel set's corners.
+and float hulls: edge closure, winding and area of a mesh, the analytic mesh
+of one voxel, and the float hull volume of a point cloud or of a voxel set's
+corners.
 
 Two float quickhulls are the hull oracles.  ``float_quickhull`` is array
 code with unit normals and an ``eps`` relative to the coordinate scale, one
@@ -21,7 +22,7 @@ import numpy as np
 
 from brainvqa.errors import DegenerateHullError
 from brainvqa.hull import _CORNER_SIGNS, _cross
-from brainvqa.surface import SurfaceMesh
+from brainvqa.surface import SurfaceMesh, triangle_areas
 
 
 def edge_incidence(mesh: SurfaceMesh) -> Counter:
@@ -48,6 +49,11 @@ def is_orientable(mesh: SurfaceMesh) -> bool:
                 return False
             seen.add((u, v))
     return True
+
+
+def mesh_area(mesh: SurfaceMesh) -> float:
+    """Total surface area in mm^2 (half cross-product magnitude per triangle)."""
+    return float(triangle_areas(mesh).sum())
 
 
 def single_voxel_mesh(

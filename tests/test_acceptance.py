@@ -44,7 +44,7 @@ from brainvqa.regions import RegionAssignment, VolumeBin
 from brainvqa.morphology import SpreadDescriptor
 from brainvqa.rng import stream
 from brainvqa.shape import describe_shape, shape_metrics
-from brainvqa.surface import marching_cubes, mesh_area
+from brainvqa.surface import marching_cubes
 from brainvqa.templates import TASKS, UNSPECIFIED, default_bank
 from brainvqa.training import (
     evaluate,
@@ -54,7 +54,7 @@ from brainvqa.training import (
     train_toy,
 )
 from conftest import digitized_ellipsoid, digitized_sphere, random_blob
-from geometry_helpers import convex_hull_volume, is_closed, voxel_corner_points
+from geometry_helpers import convex_hull_volume, is_closed, mesh_area, voxel_corner_points
 from test_morphology import bfs_components, partition_of
 
 

@@ -17,7 +17,7 @@ from brainvqa import nifti
 from brainvqa.nifti import Volume3D, VolumeHeader, conform_to_ras
 
 
-def full_grid_conform(vol: Volume3D, target_spacing, interpolation: str) -> Volume3D:
+def full_grid_conform(vol: Volume3D, target_spacing) -> Volume3D:
     spacing = np.asarray(target_spacing, dtype=np.float64)
     affine = vol.header.affine
     inv = np.linalg.inv(affine)
@@ -45,41 +45,20 @@ def full_grid_conform(vol: Volume3D, target_spacing, interpolation: str) -> Volu
     world_pts = out_idx * spacing + origin
     src = (inv[:3, :3] @ world_pts.T).T + inv[:3, 3]
 
-    if interpolation == "nearest":
-        nearest = np.rint(src).astype(np.int64)
-        valid = ((nearest >= 0) & (nearest < vol.header.dims)).all(axis=1)
-        out = np.zeros(int(np.prod(out_dims)), dtype=vol.data.dtype)
-        nv = nearest[valid]
-        out[valid] = vol.data[nv[:, 0], nv[:, 1], nv[:, 2]]
-    else:
-        out = _full_grid_trilinear(vol.data, src)
+    nearest = np.rint(src).astype(np.int64)
+    valid = ((nearest >= 0) & (nearest < vol.header.dims)).all(axis=1)
+    out = np.zeros(int(np.prod(out_dims)), dtype=vol.data.dtype)
+    nv = nearest[valid]
+    out[valid] = vol.data[nv[:, 0], nv[:, 1], nv[:, 2]]
     out = out.reshape(tuple(out_dims))
 
     header = VolumeHeader(
         dims=tuple(int(d) for d in out_dims),
         pixdim=tuple(float(s) for s in spacing),
         affine=out_affine,
-        datatype_code=vol.header.datatype_code if interpolation == "nearest" else 64,
+        datatype_code=vol.header.datatype_code,
     )
     return Volume3D(header=header, data=out)
-
-
-def _full_grid_trilinear(data: np.ndarray, src: np.ndarray) -> np.ndarray:
-    values = data.astype(np.float64)
-    base = np.floor(src).astype(np.int64)
-    frac = src - base
-    out = np.zeros(src.shape[0], dtype=np.float64)
-    for corner in np.ndindex(2, 2, 2):
-        idx = base + np.asarray(corner, dtype=np.int64)
-        weight = np.ones(src.shape[0])
-        for axis in range(3):
-            weight = weight * (frac[:, axis] if corner[axis] else 1.0 - frac[:, axis])
-        valid = ((idx >= 0) & (idx < data.shape)).all(axis=1)
-        contrib = np.zeros_like(out)
-        iv = idx[valid]
-        contrib[valid] = values[iv[:, 0], iv[:, 1], iv[:, 2]]
-        out += weight * contrib
-    return out
 
 
 def assert_identical(a: Volume3D, b: Volume3D) -> None:
@@ -91,13 +70,12 @@ def assert_identical(a: Volume3D, b: Volume3D) -> None:
     assert a.data.tobytes() == b.data.tobytes()
 
 
-def slab_conform(vol: Volume3D, target_spacing, interpolation: str = "nearest") -> Volume3D:
+def slab_conform(vol: Volume3D, target_spacing) -> Volume3D:
     """Force the general slab path, whatever the affine."""
     spacing = np.asarray(target_spacing, dtype=np.float64)
-    code = vol.header.datatype_code if interpolation == "nearest" else 64
-    header = nifti._ras_header(vol.header, spacing, code)
+    header = nifti._ras_header(vol.header, spacing)
     inv = np.linalg.inv(vol.header.affine)
-    return Volume3D(header, nifti._resample_slabs(vol.data, inv, header, interpolation))
+    return Volume3D(header, nifti._resample_slabs(vol.data, inv, header))
 
 
 def rotation(axis: int, degrees: float) -> np.ndarray:
@@ -154,7 +132,7 @@ class TestSeparablePath:
     def test_equals_slab_path(self, case):
         vol, spacing = case
         assert nifti._axis_permutation(np.linalg.inv(vol.header.affine)[:3, :3]) is not None
-        assert_identical(conform_to_ras(vol, spacing, "nearest"), slab_conform(vol, spacing))
+        assert_identical(conform_to_ras(vol, spacing), slab_conform(vol, spacing))
 
     def test_equals_full_grid_oracle(self):
         aff = np.zeros((4, 4))
@@ -162,8 +140,7 @@ class TestSeparablePath:
         aff[:3, 3] = [5.0, -3.0, 7.3]
         vol = random_volume(3, (17, 13, 9), np.int16, aff)
         for spacing in [(1, 1, 1), (0.7, 0.7, 0.7), (1.5, 1.5, 1.5)]:
-            assert_identical(conform_to_ras(vol, spacing, "nearest"),
-                             full_grid_conform(vol, spacing, "nearest"))
+            assert_identical(conform_to_ras(vol, spacing), full_grid_conform(vol, spacing))
 
     SEPARABLE_AFFINES = {
         "identity": np.eye(4),
@@ -177,11 +154,11 @@ class TestSeparablePath:
     def test_output_keeps_the_input_order(self, order, affine, spacing):
         vol = random_volume(4, (12, 9, 7), np.int16, self.SEPARABLE_AFFINES[affine])
         vol = Volume3D(vol.header, np.asarray(vol.data, order=order))
-        out = conform_to_ras(vol, spacing, "nearest")
+        out = conform_to_ras(vol, spacing)
         assert out.data.flags[f"{order}_CONTIGUOUS"]
         assert out.data.flags.writeable
         assert not np.shares_memory(out.data, vol.data)
-        assert_identical(out, full_grid_conform(vol, spacing, "nearest"))
+        assert_identical(out, full_grid_conform(vol, spacing))
 
     def test_oblique_affine_is_not_separable(self):
         inv = np.linalg.inv(oblique_affine(20, 12, (1, 1, 1.3), (0, 0, 0)))
@@ -196,20 +173,13 @@ class TestSlabPath:
     ]
 
     @pytest.mark.parametrize("slab_voxels", [1, 700, 1 << 15])
-    @pytest.mark.parametrize("interpolation", ["nearest", "trilinear"])
     @pytest.mark.parametrize("dims,affine,spacing", CASES)
-    def test_oblique_equals_full_grid_oracle(self, monkeypatch, slab_voxels, interpolation,
-                                             dims, affine, spacing):
+    def test_oblique_equals_full_grid_oracle(self, monkeypatch, slab_voxels, dims, affine,
+                                             spacing):
         monkeypatch.setattr(nifti, "_SLAB_VOXELS", slab_voxels)
         for dtype in (np.int16, np.float32):
             vol = random_volume(11, dims, dtype, affine)
-            assert_identical(conform_to_ras(vol, spacing, interpolation),
-                             full_grid_conform(vol, spacing, interpolation))
-
-    def test_trilinear_axis_aligned_equals_full_grid_oracle(self):
-        vol = random_volume(5, (11, 8, 6), np.float32, np.diag([-2.0, 1.0, 1.5, 1.0]))
-        assert_identical(conform_to_ras(vol, (1, 1, 1), "trilinear"),
-                         full_grid_conform(vol, (1, 1, 1), "trilinear"))
+            assert_identical(conform_to_ras(vol, spacing), full_grid_conform(vol, spacing))
 
 
 def traced_peak(fn, *args) -> tuple[object, int]:
@@ -225,7 +195,7 @@ def traced_peak(fn, *args) -> tuple[object, int]:
 class TestMemory:
     def test_identity_conform_below_three_inputs(self):
         vol = random_volume(1, (96, 96, 64), np.int16, np.eye(4))
-        out, peak = traced_peak(conform_to_ras, vol, (1, 1, 1), "nearest")
+        out, peak = traced_peak(conform_to_ras, vol, (1, 1, 1))
         assert np.array_equal(out.data, vol.data)
         assert peak < 3 * vol.data.nbytes
 
@@ -235,7 +205,7 @@ class TestMemory:
         # grid size
         for n in (40, 64):
             vol = random_volume(2, (n, n, n), np.int16, oblique_affine(20, 12, (1, 1, 1.3), 0))
-            out, peak = traced_peak(conform_to_ras, vol, (1, 1, 1), "nearest")
+            out, peak = traced_peak(conform_to_ras, vol, (1, 1, 1))
             plane = out.header.dims[1] * out.header.dims[2]
             assert out.data.size > 4 * max(nifti._SLAB_VOXELS, plane)
             assert peak < out.data.nbytes + 256 * max(nifti._SLAB_VOXELS, plane)

@@ -10,6 +10,10 @@ Non-finite numbers have the same contract: a checkpoint holding NaN or
 infinity is a FormatError, a training run whose parameters end non-finite is
 a TrainingError (exit 4), and ``moe-demo`` refuses a step count below 1 or a
 non-finite learning rate (exit 2) before it writes anything.
+
+A config file (labels config, region map, study list) that is not UTF-8 JSON
+of the right shape exits 2, and a template bank that is not UTF-8 exits 3,
+each with one message line and no output written.
 """
 from __future__ import annotations
 
@@ -226,9 +230,8 @@ class TestBankText:
         ends_in_value_or_error(parse_bank, raw.decode("utf-8", errors="replace"))
 
 
-GOLDEN_LINES = (Path(__file__).parent / "data" / "golden_descriptors.jsonl").read_text(
-    "utf-8"
-).splitlines()
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_descriptors.jsonl"
+GOLDEN_LINES = GOLDEN_PATH.read_text("utf-8").splitlines()
 DESCRIPTOR_LINES = (
     GOLDEN_LINES[0],
     next(line for line in GOLDEN_LINES if '"volume_bin":"N/A"' in line),
@@ -322,3 +325,55 @@ class TestJsonlReaders:
         parse, lines = READERS[kind]
         line = data.draw(st.sampled_from(lines))
         read_jsonl_bytes(data.draw(one_field_mutants(line)), parse)
+
+
+def assert_one_line_error(capsys, prefix: str, *fragments: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert all(fragment in err for fragment in fragments), err
+
+
+MALFORMED_JSON = {
+    "invalid-json": b'{"1": "lesion",',
+    "not-utf8": b'{"1": "l\xe9sion"}',
+    "json-list": b'["lesion"]',
+}
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("content", sorted(MALFORMED_JSON))
+    @pytest.mark.parametrize("flag", ["--labels-config", "--region-map"])
+    def test_malformed_label_map_is_config_error(self, tmp_path, capsys, flag, content):
+        files = {"--labels-config": tmp_path / "labels.json",
+                 "--region-map": tmp_path / "region_map.json",
+                 "--atlas": tmp_path / "atlas.nii"}
+        files["--labels-config"].write_text('{"labels": {"1": "lesion"}}', encoding="utf-8")
+        files["--region-map"].write_text('{"1": "frontal"}', encoding="utf-8")
+        files["--atlas"].write_bytes(VALID_NIFTI)
+        files[flag].write_bytes(MALFORMED_JSON[content])
+        (tmp_path / "studies").mkdir()
+        out = tmp_path / "descriptors.jsonl"
+        argv = ["describe", "--data-dir", str(tmp_path / "studies"), "--out", str(out)]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert cli.main(argv) == 2
+        assert_one_line_error(capsys, "configuration error", str(files[flag]))
+        assert not out.exists()
+
+    def test_study_list_not_utf8_is_config_error(self, tmp_path, capsys):
+        studies, out = tmp_path / "studies.txt", tmp_path / "split.json"
+        studies.write_bytes(b"study_0000\nstudy_\xff\n")
+        assert cli.main(["split", "--seed", "1", "--studies", str(studies),
+                         "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "configuration error", str(studies), "UTF-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--descriptors", str(GOLDEN_PATH), "--seed", "1"], ["heatmap"],
+    ], ids=["generate", "heatmap"])
+    def test_bank_not_utf8_is_bank_error(self, tmp_path, capsys, command):
+        bank, out = tmp_path / "bank.txt", tmp_path / "out"
+        bank.write_bytes(BANK_TEXT.encode("utf-8") + b"# \xff\n")
+        assert cli.main([*command, "--bank", str(bank), "--out", str(out)]) == 3
+        assert_one_line_error(capsys, "data error", str(bank), "UTF-8")
+        assert not out.exists()

@@ -237,9 +237,8 @@ class TestMoEBackward:
         params = randomized_params(20, n_experts=2, n_modalities=2, d_image=3, d_text=4)
         v, cls, t = random_inputs(21, 4, 2, 3, 4)
         _, cache = moe_forward_batch(v[None], cls[None], t[None], params)
-        grads, dinputs = moe_backward_batch(np.zeros((1, 4, 4)), cache)
+        grads = moe_backward_batch(np.zeros((1, 4, 4)), cache)
         assert all(np.all(g == 0) for g in grads.values())
-        assert np.all(dinputs["v"] == 0) and np.all(dinputs["t"] == 0)
 
     def test_finite_difference_all_parameters(self):
         params = randomized_params(22, n_experts=2, n_modalities=2, d_image=3, d_text=4,
@@ -253,7 +252,7 @@ class TestMoEBackward:
             return float((e[0] * proj).sum())
 
         e, cache = moe_forward_batch(v[None], cls[None], t[None], params)
-        grads, dinputs = moe_backward_batch(proj[None], cache)
+        grads = moe_backward_batch(proj[None], cache)
         eps = 1e-6
         for name, arr in params.arrays.items():
             flat = arr.reshape(-1)
@@ -269,21 +268,6 @@ class TestMoEBackward:
                 g = grads[name].reshape(-1)[i]
                 assert fd == pytest.approx(g, rel=1e-5, abs=1e-8), name
 
-        for label, arr, grad in (("v", v, dinputs["v"][0]), ("cls", cls, dinputs["cls"][0]),
-                                 ("t", t, dinputs["t"][0])):
-            flat = arr.reshape(-1)
-            gflat = np.asarray(grad).reshape(-1)
-            picks = stream(26, label).choice(flat.size, size=min(6, flat.size), replace=False)
-            for i in picks:
-                orig = flat[i]
-                flat[i] = orig + eps
-                lp = loss()
-                flat[i] = orig - eps
-                lm = loss()
-                flat[i] = orig
-                fd = (lp - lm) / (2 * eps)
-                assert fd == pytest.approx(gflat[i], rel=1e-5, abs=1e-8), label
-
     def test_unused_expert_gets_no_gradient(self):
         params = randomized_params(27, n_experts=2, n_modalities=2, d_image=3, d_text=4)
         # drive expert 1's routing weight to ~0
@@ -291,7 +275,7 @@ class TestMoEBackward:
         params.arrays["high.W2"][:] = 0.0
         v, cls, t = random_inputs(28, 4, 2, 3, 4)
         _, cache = moe_forward_batch(v[None], cls[None], t[None], params)
-        grads, _ = moe_backward_batch(np.ones((1, 4, 4)), cache)
+        grads = moe_backward_batch(np.ones((1, 4, 4)), cache)
         for name, g in grads.items():
             if name.startswith("expert1."):
                 assert np.linalg.norm(g) <= 1e-10, name

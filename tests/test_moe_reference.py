@@ -6,8 +6,7 @@ expert's granularity and contracts with ``np.einsum``.  They stay here as the
 references that ``moe_forward_batch`` and ``moe_backward_batch`` must
 reproduce.  The stacked code sums in a different order, so agreement is to
 1e-12: absolute for the fused output, and relative to the largest gradient
-entry for every parameter gradient and the input gradients ``v``, ``cls``,
-``t``.
+entry for every parameter gradient.
 """
 from __future__ import annotations
 
@@ -76,13 +75,10 @@ def loop_backward_batch(de, cache):
     params: MoEParams = cache["params"]
     cfg = params.config
     A = params.arrays
-    v, cls, t = cache["v"], cache["cls"], cache["t"]
+    v, t = cache["v"], cache["t"]
     pi_high = cache["pi_high"]
-    B, n_i, n_m, d_i = v.shape
 
     grads = {name: np.zeros_like(arr) for name, arr in A.items()}
-    dv = np.zeros_like(v)
-    dcls = np.zeros_like(cls)
     dpi_high = np.zeros_like(pi_high)
 
     for n in range(cfg.n_experts):
@@ -101,8 +97,6 @@ def loop_backward_batch(de, cache):
         grads[f"{p}.bm"] += dspec.sum(axis=(0, 1))
         grads[f"{p}.Ws"] += np.einsum("bimt,bimd->td", dshared, v)
         grads[f"{p}.bs"] += dshared.sum(axis=(0, 1, 2))
-        dv += np.einsum("bimt,mtd->bimd", dspec, A[f"{p}.Wm"])
-        dv += np.einsum("bimt,td->bimd", dshared, A[f"{p}.Ws"])
 
         pi, z_act, x = ec["pi"], ec["z_act"], ec["x"]
         if cfg.granularity[n] == MODALITY_LEVEL:
@@ -113,7 +107,6 @@ def loop_backward_batch(de, cache):
             dz = (dlogit @ A[f"{p}.low.W2"]) * (1.0 - z_act**2)
             grads[f"{p}.low.W1"] += dz.T @ x
             grads[f"{p}.low.b1"] += dz.sum(axis=0)
-            dcls += (dz @ A[f"{p}.low.W1"]).reshape(B, n_m, d_i)
         else:
             dlogit = dgate * pi * (1.0 - pi)  # (B, N_I, N_m)
             grads[f"{p}.low.W2"] += np.einsum("bim,bih->mh", dlogit, z_act)
@@ -121,7 +114,6 @@ def loop_backward_batch(de, cache):
             dz = np.einsum("bim,mh->bih", dlogit, A[f"{p}.low.W2"]) * (1.0 - z_act**2)
             grads[f"{p}.low.W1"] += np.einsum("bih,bik->hk", dz, x)
             grads[f"{p}.low.b1"] += dz.sum(axis=(0, 1))
-            dv += np.einsum("bih,hk->bik", dz, A[f"{p}.low.W1"]).reshape(B, n_i, n_m, d_i)
 
     dlogits = pi_high * (dpi_high - (dpi_high * pi_high).sum(axis=1, keepdims=True))
     h_act = cache["h_act"]
@@ -130,8 +122,7 @@ def loop_backward_batch(de, cache):
     dh = (dlogits @ A["high.W2"]) * (1.0 - h_act**2)
     grads["high.W1"] += dh.T @ t
     grads["high.b1"] += dh.sum(axis=0)
-    dt = dh @ A["high.W1"]
-    return grads, {"v": dv, "cls": dcls, "t": dt}
+    return grads
 
 
 def assert_matches_loop(seed, granularity, batch, n_i, n_m, d_i, d_t, hidden):
@@ -150,15 +141,13 @@ def assert_matches_loop(seed, granularity, batch, n_i, n_m, d_i, d_t, hidden):
     assert e.shape == e_ref.shape
     assert np.abs(e - e_ref).max() <= 1e-12
 
-    grads, dinputs = moe_backward_batch(de, cache)
-    grads_ref, dinputs_ref = loop_backward_batch(de, cache_ref)
+    grads = moe_backward_batch(de, cache)
+    grads_ref = loop_backward_batch(de, cache_ref)
     assert set(grads) == set(grads_ref)
-    pairs = [(name, grads[name], grads_ref[name]) for name in grads_ref]
-    pairs += [(name, dinputs[name], dinputs_ref[name]) for name in ("v", "cls", "t")]
-    scale = max(float(np.abs(ref).max()) for _, _, ref in pairs)
-    for name, got, ref in pairs:
-        assert got.shape == ref.shape, name
-        assert np.abs(got - ref).max() <= 1e-12 * scale, name
+    scale = max(float(np.abs(ref).max()) for ref in grads_ref.values())
+    for name, ref in grads_ref.items():
+        assert grads[name].shape == ref.shape, name
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
 
 
 MIXED = (MODALITY_LEVEL, TOKEN_LEVEL, TOKEN_LEVEL)

@@ -238,7 +238,7 @@ class TestConform:
     def test_identity_on_conformed_input(self):
         data = np.arange(64, dtype=np.int16).reshape(4, 4, 4)
         v = make_volume(data)
-        out = conform_to_ras(v, (1, 1, 1), "nearest")
+        out = conform_to_ras(v, (1, 1, 1))
         assert out.header.orientation == "RAS"
         assert np.array_equal(out.data, data)
 
@@ -247,8 +247,8 @@ class TestConform:
         aff = np.diag([-1.0, 1.0, -1.0, 1.0])
         aff[:3, 3] = [3.0, 1.0, 7.0]
         v = make_volume(rng.integers(0, 4, size=(4, 5, 6)).astype(np.int16), affine=aff)
-        once = conform_to_ras(v, (1, 1, 1), "nearest")
-        twice = conform_to_ras(once, (1, 1, 1), "nearest")
+        once = conform_to_ras(v, (1, 1, 1))
+        twice = conform_to_ras(once, (1, 1, 1))
         assert once == twice
 
     def test_lps_voxel_world_coordinate_preserved(self):
@@ -258,7 +258,7 @@ class TestConform:
         data[1, 2, 3] = 7
         v = make_volume(data, affine=aff)
         world_in = aff[:3, :3] @ [1, 2, 3] + aff[:3, 3]
-        out = conform_to_ras(v, (1, 1, 1), "nearest")
+        out = conform_to_ras(v, (1, 1, 1))
         assert out.header.orientation == "RAS"
         locs = np.argwhere(out.data == 7)
         assert len(locs) == 1
@@ -269,7 +269,7 @@ class TestConform:
         data = np.zeros((3, 3, 3), dtype=np.int16)
         data[1, 1, 1] = 9
         v = make_volume(data, pixdim=(2, 2, 2))
-        out = conform_to_ras(v, (1, 1, 1), "nearest")
+        out = conform_to_ras(v, (1, 1, 1))
         assert out.header.dims == (6, 6, 6)
         hits = np.argwhere(out.data == 9)
         assert len(hits) == 8  # a 2x2x2 block per original voxel
@@ -279,33 +279,10 @@ class TestConform:
         rng = np.random.default_rng(2)
         data = rng.integers(0, 4, size=(6, 6, 6)).astype(np.int16)
         v = make_volume(data, pixdim=(2, 2, 2))
-        out = conform_to_ras(v, (1, 1, 1), "nearest")
+        out = conform_to_ras(v, (1, 1, 1))
         assert set(np.unique(out.data)) <= set(np.unique(data))
         # every label whose extent exceeds the target spacing survives
         assert set(np.unique(out.data)) == set(np.unique(data))
-
-    def test_trilinear_constant_field(self):
-        v = make_volume(np.full((4, 4, 4), 5.0))
-        out = conform_to_ras(v, (1, 1, 1), "trilinear")
-        assert np.allclose(out.data, 5.0)
-
-    def test_trilinear_identity_on_aligned_grid(self):
-        data = np.arange(60, dtype=np.float64).reshape(3, 4, 5)
-        v = make_volume(data)
-        out = conform_to_ras(v, (1, 1, 1), "trilinear")
-        assert np.allclose(out.data, data, atol=1e-9)
-
-    def test_trilinear_upsamples_linear_ramp_exactly_inside(self):
-        # linear interpolation reproduces a linear field away from the border
-        x = np.arange(6, dtype=np.float64)
-        data = np.broadcast_to(x[:, None, None], (6, 6, 6)).copy()
-        v = make_volume(data, pixdim=(2, 2, 2))
-        out = conform_to_ras(v, (1, 1, 1), "trilinear")
-        world_x = out.header.affine[0, 0] * np.arange(out.header.dims[0]) \
-            + out.header.affine[0, 3]
-        expected = world_x / 2.0  # field value = input index = world/2
-        interior = slice(2, -2)
-        assert np.allclose(out.data[interior, 6, 6], expected[interior], atol=1e-9)
 
     def test_singular_affine_rejected(self):
         with pytest.raises(GeometryError):

@@ -74,8 +74,8 @@ class TestRelativeVolume:
         mask = (rng.random((10, 10, 10)) < 0.1).astype(np.int16)
         before = relative_volume(np.count_nonzero(mask), nonzero(brain))
         mask_vol = Volume3D.from_array(mask)
-        conformed_mask = conform_to_ras(mask_vol, (1, 1, 1), "nearest")
-        conformed_brain = conform_to_ras(brain, (1, 1, 1), "nearest")
+        conformed_mask = conform_to_ras(mask_vol, (1, 1, 1))
+        conformed_brain = conform_to_ras(brain, (1, 1, 1))
         after = relative_volume(np.count_nonzero(conformed_mask.data), nonzero(conformed_brain))
         assert after == pytest.approx(before)
 

@@ -11,13 +11,12 @@ from brainvqa.surface import (
     case_area,
     cell_triangles,
     marching_cubes,
-    mesh_area,
     surface_area,
     triangle_areas,
     write_off,
 )
 from conftest import random_blob
-from geometry_helpers import is_closed, is_orientable, single_voxel_mesh
+from geometry_helpers import is_closed, is_orientable, mesh_area, single_voxel_mesh
 
 
 class TestMeshArea:

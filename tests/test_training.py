@@ -232,9 +232,9 @@ class TestWorkspace:
         task = make_toy_task(seed=6, n_train=16, n_val=4)
         batch, model = task.train, task.model
         e, cache = moe_forward_batch(batch.v, batch.cls, batch.t, model.moe, batch.work)
-        grads, dinputs = moe_backward_batch(stream(6, "de").normal(size=e.shape), cache)
+        grads = moe_backward_batch(stream(6, "de").normal(size=e.shape), cache)
         _, _, step_grads = model_loss_and_grads(model, batch)
-        returned = [e, *grads.stacks.values(), *dinputs.values(), *step_grads.stacks.values()]
+        returned = [e, *grads.stacks.values(), *step_grads.stacks.values()]
         kept = [a.copy() for a in returned]
         for arr in model.stored_arrays().values():
             arr += 0.01 * stream(7, "perturb").normal(size=arr.shape)
@@ -257,11 +257,13 @@ class TestWorkspace:
         train_toy(task.train, task.model, steps=2, lr=0.25)
         assert {name: slot.ctypes.data for name, slot in work.items()} == pointers
 
-    def test_a_step_allocates_at_most_5_mb_after_warm_up(self):
+    def test_a_step_allocates_at_most_3_mb_after_warm_up(self):
         # B=256, the fixture of the moe_train benchmark; fresh arrays for every
-        # activation took 15 MB per step.
+        # activation took 15 MB per step, and the input gradients of a backward
+        # that formed them 3.3 MB.
         task = make_toy_task(seed=0, n_train=256, n_val=8)
         train_toy(task.train, task.model, steps=1, lr=0.25)
+        assert not {"dvt", "dvt_shared"} & set(task.train.work)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -269,4 +271,4 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 2**20, f"{peak / 2**20:.2f} MB"
+        assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MB"

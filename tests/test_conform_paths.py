@@ -142,6 +142,11 @@ class TestSeparablePath:
         for spacing in [(1, 1, 1), (0.7, 0.7, 0.7), (1.5, 1.5, 1.5)]:
             assert_identical(conform_to_ras(vol, spacing), full_grid_conform(vol, spacing))
 
+    def test_flipped_anisotropic_float_equals_full_grid_oracle(self):
+        vol = random_volume(5, (11, 8, 6), np.float32, np.diag([-2.0, 1.0, 1.5, 1.0]))
+        for spacing in [(1, 1, 1), (0.8, 1.3, 0.6)]:
+            assert_identical(conform_to_ras(vol, spacing), full_grid_conform(vol, spacing))
+
     SEPARABLE_AFFINES = {
         "identity": np.eye(4),
         "flipped": np.array([[-1.0, 0, 0, 4.0], [0, 1.0, 0, -2.0], [0, 0, -2.0, 1.5], [0, 0, 0, 1]]),

@@ -284,6 +284,33 @@ class TestConform:
         # every label whose extent exceeds the target spacing survives
         assert set(np.unique(out.data)) == set(np.unique(data))
 
+    def test_float_constant_field_keeps_value_and_datatype(self):
+        v = make_volume(np.full((3, 3, 3), 5.0, dtype=np.float32), pixdim=(2, 2, 2))
+        out = conform_to_ras(v, (1, 1, 1))
+        assert out.header.dims == (6, 6, 6)
+        assert out.header.datatype_code == v.header.datatype_code == 16
+        assert out.data.dtype == np.float32
+        assert np.all(out.data == 5.0)
+
+    def test_identity_on_aligned_float_grid(self):
+        data = np.arange(60, dtype=np.float64).reshape(3, 4, 5)
+        v = make_volume(data)
+        out = conform_to_ras(v, (1, 1, 1))
+        assert out.header.datatype_code == v.header.datatype_code
+        assert out.data.dtype == data.dtype
+        assert np.array_equal(out.data, data)
+
+    def test_upsampled_ramp_takes_the_nearest_input_value(self):
+        x = np.arange(6, dtype=np.float64)
+        data = np.broadcast_to(x[:, None, None], (6, 6, 6)).copy()
+        v = make_volume(data, pixdim=(2, 2, 2))
+        out = conform_to_ras(v, (1, 1, 1))
+        world_x = out.header.affine[0, 0] * np.arange(out.header.dims[0]) \
+            + out.header.affine[0, 3]
+        a = v.header.affine
+        expected = np.rint((world_x - a[0, 3]) / a[0, 0])  # nearest input index = field value
+        assert np.array_equal(out.data[:, 6, 6], expected)
+
     def test_singular_affine_rejected(self):
         with pytest.raises(GeometryError):
             VolumeHeader(dims=(2, 2, 2), pixdim=(1, 1, 1), affine=np.zeros((4, 4)))

@@ -22,12 +22,45 @@ GOLDEN = Path(__file__).parent / "data" / "golden_descriptors.jsonl"
 # before both became the canonical sums (case-count area, exact hull volume).
 GOLDEN_FLOAT_SUMS = Path(__file__).parent / "data" / "golden_descriptors_float_sums.jsonl"
 CANONICAL_SUM_FIELDS = ("area_mm2", "sphericity", "compactness", "solidity")
+# The same corpus on a rotated, anisotropic grid (``oblique_fixture_dir``),
+# captured before the slab conform shared its index pass between volumes.
+GOLDEN_OBLIQUE = Path(__file__).parent / "data" / "golden_descriptors_oblique.jsonl"
 
 
 @pytest.fixture(scope="session")
 def fixture_dir(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("corpus")
     write_fixture(root, n_studies=3, seed=7)
+    return root
+
+
+def oblique_affine(shift) -> np.ndarray:
+    """Voxel spacing (1, 1.1, 1.3) mm, rotated 20 degrees about z and 12 about x."""
+    tz, tx = np.deg2rad(20.0), np.deg2rad(12.0)
+    rot_z = np.array([[np.cos(tz), -np.sin(tz), 0], [np.sin(tz), np.cos(tz), 0], [0, 0, 1]])
+    rot_x = np.array([[1, 0, 0], [0, np.cos(tx), -np.sin(tx)], [0, np.sin(tx), np.cos(tx)]])
+    affine = np.eye(4)
+    affine[:3, :3] = rot_z @ rot_x @ np.diag([1.0, 1.1, 1.3])
+    affine[:3, 3] = shift
+    return affine
+
+
+@pytest.fixture(scope="session")
+def oblique_fixture_dir(tmp_path_factory) -> Path:
+    """``write_fixture(n_studies=3, seed=7)`` with every volume on an oblique grid.
+
+    Every volume shares one affine, except study 0002's ``t1``, which is
+    shifted by a fraction of a voxel: it conforms onto a grid of the same
+    dims but another origin, so that study's ``t1`` and ``seg`` are
+    resampled separately.
+    """
+    root = write_fixture(tmp_path_factory.mktemp("oblique"), n_studies=3, seed=7)
+    for path in sorted(root.rglob("*.nii.gz")):
+        shift = (0.35, -0.2, 0.1) if path.parent.name == "study_0002" and \
+            path.name == "t1.nii.gz" else (0.0, 0.0, 0.0)
+        data = read_nifti_file(path).data
+        write_nifti_file(Volume3D.from_array(data, (1.0, 1.1, 1.3), oblique_affine(shift)),
+                         path)
     return root
 
 
@@ -48,6 +81,12 @@ class TestDescribe:
         out = tmp_path / "desc.jsonl"
         assert main(describe_args(fixture_dir, out)) == 0
         assert out.read_text() == GOLDEN.read_text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oblique_corpus_matches_golden_file(self, oblique_fixture_dir, tmp_path, workers):
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(oblique_fixture_dir, out, workers)) == 0
+        assert out.read_text() == GOLDEN_OBLIQUE.read_text()
 
     def test_canonical_sums_move_only_their_fields(self):
         """Against the float-sum descriptors: four fields within 1e-12, the rest identical."""

@@ -44,7 +44,7 @@ from .moe import (
     save_checkpoint,
     token_count_comparison,
 )
-from .nifti import LabelMask, Volume3D, conform_to_ras, read_nifti_file
+from .nifti import LabelMask, Volume3D, conform_all_to_ras, conform_to_ras, read_nifti_file
 from .qagen import (
     TaskDescriptors,
     compute_descriptors,
@@ -172,15 +172,15 @@ def _study_dirs(data_dir) -> list[Path]:
 def _find_volume(study_dir: Path, stem: str) -> Path:
     for suffix in (".nii.gz", ".nii"):
         candidate = study_dir / f"{stem}{suffix}"
-        if candidate.exists():
+        if candidate.is_file():
             return candidate
     raise FormatError(f"{study_dir} has no {stem}.nii[.gz]")
 
 
 def _describe_study(study_dir: Path, labels, atlas, args):
     spacing = (args.spacing,) * 3
-    brain = conform_to_ras(read_nifti_file(_find_volume(study_dir, "t1")), spacing)
-    seg = conform_to_ras(read_nifti_file(_find_volume(study_dir, "seg")), spacing)
+    brain, seg = conform_all_to_ras(
+        [read_nifti_file(_find_volume(study_dir, stem)) for stem in ("t1", "seg")], spacing)
     mask = LabelMask(_integer_labels(seg), dict(labels))
     mesh_out = getattr(args, "mesh_out", None)
     if mesh_out:
@@ -218,13 +218,14 @@ def _compute_all_descriptors(args) -> tuple[list[TaskDescriptors], list[dict]]:
 
     def work(study_dir: Path):
         # One study's failure, of any kind, must not end the corpus: it is
-        # recorded (with the traceback when it is not a BrainVQAError) instead.
+        # recorded instead, with the traceback when it may be a fault of the
+        # program (neither a BrainVQAError nor an OSError, which names the file).
         try:
             return study_dir.name, _describe_study(study_dir, labels, atlas, args), None
         except Exception as exc:
             failure = {"study_id": study_dir.name, "error_type": type(exc).__name__,
                        "error": str(exc)}
-            if not isinstance(exc, BrainVQAError):
+            if not isinstance(exc, (BrainVQAError, OSError)):
                 failure["traceback"] = traceback.format_exc()
             return study_dir.name, None, failure
 
@@ -570,6 +571,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (IsADirectoryError, PermissionError) as exc:
+        print(f"unreadable file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FormatError, GeometryError, BrainVQAError) as exc:
         if isinstance(exc, TrainingError):

@@ -234,9 +234,7 @@ class LabelMask:
         """
         if self._coords is None:
             data = self.volume.data
-            # an explicit order for both ravel and unravel: "K" on a flipped
-            # or strided view matches neither
-            order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
+            order = _memory_order(data)
             flat = data.ravel(order=order)
             nonzero = np.flatnonzero(flat != 0)  # a boolean scan is the fast one
             index = np.unravel_index(nonzero, data.shape, order=order)
@@ -277,12 +275,6 @@ def orientation_code(affine: np.ndarray) -> str:
         positive = aff[world, best_j] >= 0
         letters[best_j] = _POS_LETTERS[world] if positive else _NEG_LETTERS[world]
     return "".join(letters)
-
-
-def voxel_volume(header: VolumeHeader) -> float:
-    """Physical volume of one voxel in mm^3 (product of the spacings)."""
-    sx, sy, sz = header.pixdim
-    return sx * sy * sz
 
 
 def _quaternion_affine(hdr: np.void) -> np.ndarray:
@@ -514,32 +506,65 @@ def conform_to_ras(
       The output has the input's memory order (Fortran when the input is
       Fortran-contiguous, else C), so the identity is one contiguous copy.
     - Oblique affines map every output voxel through the inverse affine, one
-      slab of whole output rows (first axis) at a time.  The float64 and
-      int64 coordinate temporaries cover at most ``max(_SLAB_VOXELS, one
-      output plane)`` voxels, so memory is the output plus a bound that does
-      not grow with the grid.
+      slab of whole output rows (first axis) at a time, into a C-ordered
+      output.  The slab's temporaries (float64 coordinates, flat indices,
+      gathered values) peak near 80 bytes per voxel, over at most
+      ``max(_SLAB_VOXELS, one output plane)`` voxels, so memory is the
+      output plus a bound that does not grow with the grid (plus one copy
+      of an input that is neither C- nor Fortran-contiguous).
     """
+    return _conform([vol], target_spacing)[0]
+
+
+def conform_all_to_ras(
+    vols: list[Volume3D],
+    target_spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
+) -> list[Volume3D]:
+    """``[conform_to_ras(vol, target_spacing) for vol in vols]``, byte for byte.
+
+    Volumes with the same dims, affine and memory order (a study's scans, as
+    a rule) are conformed together: an oblique group shares one slab pass,
+    whose index arithmetic is most of the cost, and gathers each volume from
+    its indices.  Volumes that differ in any of the three take separate
+    passes.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for n, vol in enumerate(vols):
+        key = (vol.header.dims, vol.header.affine.tobytes(), _memory_order(vol.data))
+        groups.setdefault(key, []).append(n)
+    out: list[Volume3D] = [None] * len(vols)
+    for members in groups.values():
+        for n, conformed in zip(members, _conform([vols[n] for n in members], target_spacing)):
+            out[n] = conformed
+    return out
+
+
+def _conform(vols: list[Volume3D], target_spacing) -> list[Volume3D]:
+    """Every volume of ``vols``, which share dims, affine and memory order, conformed."""
     spacing = np.asarray(target_spacing, dtype=np.float64)
     if spacing.shape != (3,) or (spacing <= 0).any():
         raise GeometryError(f"target spacing must be 3 positive reals, got {target_spacing}")
 
     try:
-        inv = np.linalg.inv(vol.header.affine)
+        inv = np.linalg.inv(vols[0].header.affine)
     except np.linalg.LinAlgError:
         raise GeometryError("affine is not invertible") from None
 
-    header = _ras_header(vol.header, spacing)
+    headers = [_ras_header(vol.header, spacing) for vol in vols]
     perm = _axis_permutation(inv[:3, :3])
     if perm is not None:
-        out = _nearest_separable(vol.data, inv, perm, header)
+        outs = [_nearest_separable(vol.data, inv, perm, header)
+                for vol, header in zip(vols, headers)]
     else:
-        out = _resample_slabs(vol.data, inv, header)
-    return Volume3D(header=header, data=out)
+        outs = _resample_slabs([vol.data for vol in vols], inv, headers[0])
+    return [Volume3D(header=header, data=out) for header, out in zip(headers, outs)]
 
 
-# Output voxels per slab of the general resampling path.  Its coordinate
-# temporaries peak near 180 bytes per voxel, so a slab stays near 6 MB and
-# in cache; larger slabs measured slower on an oblique 96^3 conform.
+# Output voxels per slab of the general resampling path.  A slab's
+# temporaries (float64 world and source coordinates, 24 bytes each, the flat
+# index with its in-range part, and the gathered values) peak at 78 bytes per
+# voxel under tracemalloc, so a slab stays near 2.5 MB and in cache; of 2^15
+# to 2^18, 2^15 was as fast as any on an oblique 96^3 conform.
 _SLAB_VOXELS = 1 << 15
 
 
@@ -622,24 +647,54 @@ def _as_slice(run: np.ndarray) -> slice | None:
     return slice(int(run[0]), stop if stop >= 0 else None, step)
 
 
-def _resample_slabs(data: np.ndarray, inv: np.ndarray, header: VolumeHeader) -> np.ndarray:
-    """Nearest sampling through any ``inv``, one slab of output rows at a time."""
+def _resample_slabs(
+    datas: list[np.ndarray], inv: np.ndarray, header: VolumeHeader
+) -> list[np.ndarray]:
+    """Nearest sampling through any ``inv`` of arrays of one shape and memory order.
+
+    One slab of output rows at a time: the slab's world coordinates are
+    broadcast from the three output axis vectors into a ``(3, N)`` array,
+    mapped by one matmul with ``inv`` and rounded; an index inside the input
+    on every axis becomes one flat index in the arrays' memory order, which
+    gathers every array with one ``take``.  Each voxel's coordinate is the
+    full-grid ``rint(inv[:3, :3] @ world + inv[:3, 3])``, so the bytes do
+    not depend on the slab size or on how many arrays share the pass.
+    """
     nx, ny, nz = header.dims
     spacing = np.diag(header.affine)[:3]
     origin = header.affine[:3, 3]
-    out = np.zeros(header.dims, dtype=data.dtype)
+    axes = [np.arange(n, dtype=np.float64) * spacing[a] + origin[a]
+            for a, n in enumerate(header.dims)]
+    shape = datas[0].shape
+    order = _memory_order(datas[0])
+    flats = [data.ravel(order=order) for data in datas]
+    # element steps of each input axis in the flat order; every term of the
+    # flat index is an integer below 2^53, so its float sum is exact
+    steps = np.array([1, shape[0], shape[0] * shape[1]] if order == "F"
+                     else [shape[1] * shape[2], shape[2], 1], dtype=np.float64)
+    highest = np.array(shape, dtype=np.float64)[:, None] - 1
+    outs = [np.zeros(header.dims, dtype=data.dtype) for data in datas]
     rows = max(1, _SLAB_VOXELS // (ny * nz))
     for i0 in range(0, nx, rows):
         i1 = min(nx, i0 + rows)
-        ii, jj, kk = np.meshgrid(
-            np.arange(i0, i1), np.arange(ny), np.arange(nz), indexing="ij"
-        )
-        out_idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
-        world_pts = out_idx * spacing + origin
-        src = (inv[:3, :3] @ world_pts.T).T + inv[:3, 3]
-        slab = out[i0:i1].reshape(-1)
-        nearest = np.rint(src).astype(np.int64)
-        valid = ((nearest >= 0) & (nearest < data.shape)).all(axis=1)
-        nv = nearest[valid]
-        slab[valid] = data[nv[:, 0], nv[:, 1], nv[:, 2]]
-    return out
+        world = np.empty((3, i1 - i0, ny, nz))
+        world[0] = axes[0][i0:i1, None, None]
+        world[1] = axes[1][:, None]
+        world[2] = axes[2]
+        src = inv[:3, :3] @ world.reshape(3, -1)
+        src += inv[:3, 3:]
+        np.rint(src, out=src)
+        inside = ((src >= 0) & (src <= highest)).all(axis=0)
+        index = (steps @ src)[inside].astype(np.intp)
+        for flat, out in zip(flats, outs):
+            out[i0:i1].reshape(-1)[inside] = flat.take(index)
+    return outs
+
+
+def _memory_order(data: np.ndarray) -> str:
+    """``"F"`` for an array contiguous in Fortran order only, else ``"C"``.
+
+    An explicit order for both ravel and unravel: ``"K"`` on a flipped or
+    strided view matches neither.
+    """
+    return "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"

@@ -1,4 +1,4 @@
-"""Mesh and hull checks that only tests and acceptance criteria use.
+"""Voxel, mesh and hull checks that only tests and acceptance criteria use.
 
 The descriptor path needs none of these: it takes the area from case counts
 (``surface.surface_area``) and the solidity from the exact lattice hull volume
@@ -22,7 +22,14 @@ import numpy as np
 
 from brainvqa.errors import DegenerateHullError
 from brainvqa.hull import _CORNER_SIGNS, _cross
+from brainvqa.nifti import VolumeHeader
 from brainvqa.surface import SurfaceMesh, triangle_areas
+
+
+def voxel_volume(header: VolumeHeader) -> float:
+    """Physical volume of one voxel in mm^3 (product of the spacings)."""
+    sx, sy, sz = header.pixdim
+    return sx * sy * sz
 
 
 def edge_incidence(mesh: SurfaceMesh) -> Counter:

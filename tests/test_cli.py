@@ -16,6 +16,7 @@ from brainvqa.surface import marching_cubes, write_off
 from brainvqa.synthetic import write_fixture
 from conftest import edit_manifest
 from moe_helpers import save_unchecked
+from test_conform_paths import oblique_affine
 
 GOLDEN = Path(__file__).parent / "data" / "golden_descriptors.jsonl"
 # The same corpus described with float-summed mesh areas and hull volumes,
@@ -34,21 +35,11 @@ def fixture_dir(tmp_path_factory) -> Path:
     return root
 
 
-def oblique_affine(shift) -> np.ndarray:
-    """Voxel spacing (1, 1.1, 1.3) mm, rotated 20 degrees about z and 12 about x."""
-    tz, tx = np.deg2rad(20.0), np.deg2rad(12.0)
-    rot_z = np.array([[np.cos(tz), -np.sin(tz), 0], [np.sin(tz), np.cos(tz), 0], [0, 0, 1]])
-    rot_x = np.array([[1, 0, 0], [0, np.cos(tx), -np.sin(tx)], [0, np.sin(tx), np.cos(tx)]])
-    affine = np.eye(4)
-    affine[:3, :3] = rot_z @ rot_x @ np.diag([1.0, 1.1, 1.3])
-    affine[:3, 3] = shift
-    return affine
-
-
 @pytest.fixture(scope="session")
 def oblique_fixture_dir(tmp_path_factory) -> Path:
     """``write_fixture(n_studies=3, seed=7)`` with every volume on an oblique grid.
 
+    Voxels are 1 x 1.1 x 1.3 mm, rotated 20 degrees about z and 12 about x.
     Every volume shares one affine, except study 0002's ``t1``, which is
     shifted by a fraction of a voxel: it conforms onto a grid of the same
     dims but another origin, so that study's ``t1`` and ``seg`` are
@@ -58,9 +49,9 @@ def oblique_fixture_dir(tmp_path_factory) -> Path:
     for path in sorted(root.rglob("*.nii.gz")):
         shift = (0.35, -0.2, 0.1) if path.parent.name == "study_0002" and \
             path.name == "t1.nii.gz" else (0.0, 0.0, 0.0)
+        affine = oblique_affine(20, 12, (1.0, 1.1, 1.3), shift)
         data = read_nifti_file(path).data
-        write_nifti_file(Volume3D.from_array(data, (1.0, 1.1, 1.3), oblique_affine(shift)),
-                         path)
+        write_nifti_file(Volume3D.from_array(data, (1.0, 1.1, 1.3), affine), path)
     return root
 
 
@@ -517,3 +508,91 @@ class TestMalformedJsonl:
         self.assert_exit_3_at_line_3(["eval", "--gold", str(dataset), "--pred", str(dataset),
                                       "--out", str(tmp_path / "r.json"), "--kappa", str(bad),
                                       "--resamples", "5"], bad, capsys)
+
+
+class TestUnreadableInputs:
+    """A directory or an unreadable file in an input slot exits 2 with one line."""
+
+    @staticmethod
+    def command(flag: str, root: Path, data: Path, out: Path) -> list[str]:
+        if flag in ("--labels-config", "--atlas", "--region-map"):
+            return describe_args(root, out)
+        return {
+            "generate --descriptors": ["generate", "--descriptors", str(GOLDEN), "--seed", "1"],
+            "generate --bank": ["generate", "--descriptors", str(GOLDEN), "--bank", "x",
+                                "--seed", "1"],
+            "--in": ["stats", "--in", "x"],
+            "split --descriptors": ["split", "--seed", "1", "--descriptors", "x"],
+            "--studies": ["split", "--seed", "1", "--studies", "x"],
+            "--gold": ["eval", "--gold", "x", "--pred", str(data)],
+            "--pred": ["eval", "--gold", str(data), "--pred", "x"],
+            "--kappa": ["eval", "--gold", str(data), "--pred", str(data), "--kappa", "x"],
+            "--params": ["heatmap", "--params", "x"],
+            "heatmap --bank": ["heatmap", "--bank", "x"],
+        }[flag] + ["--out", str(out)]
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory) -> Path:
+        out = tmp_path_factory.mktemp("dataset") / "data.jsonl"
+        assert main(["generate", "--descriptors", str(GOLDEN), "--seed", "5",
+                     "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("flag", [
+        "--labels-config", "--atlas", "--region-map", "generate --descriptors",
+        "generate --bank", "--in", "split --descriptors", "--studies", "--gold", "--pred",
+        "--kappa", "--params", "heatmap --bank"])
+    def test_directory_exit_2(self, fixture_dir, dataset, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        argv = self.command(flag, fixture_dir, dataset, out)
+        argv[argv.index(flag.split()[-1]) + 1] = str(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Is a directory" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [PermissionError, IsADirectoryError])
+    def test_unreadable_atlas_exit_2(self, fixture_dir, tmp_path, capsys, monkeypatch, error):
+        def refuse(path):
+            raise error(f"refused: {path}")
+
+        monkeypatch.setattr(cli, "read_nifti_file", refuse)
+        out = tmp_path / "out"
+        assert main(describe_args(fixture_dir, out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "refused" in err, err
+        assert not out.exists()
+
+    def test_directory_as_study_volume_is_that_studys_failure(self, fixture_dir, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, root)
+        seg = root / "studies" / "study_0001" / "seg.nii.gz"
+        seg.unlink()
+        seg.mkdir()
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(root, out)) == 0
+        failures = json.loads(Path(str(out) + ".failures.json").read_text())["failures"]
+        assert [(f["study_id"], f["error_type"]) for f in failures] == [
+            ("study_0001", "FormatError")]
+        assert "no seg.nii[.gz]" in failures[0]["error"]
+        assert "traceback" not in failures[0]
+        golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows == [r for r in golden if r["study_id"] != "study_0001"]
+
+    def test_unreadable_study_volume_is_recorded_without_traceback(self, fixture_dir,
+                                                                   tmp_path, monkeypatch):
+        real = cli.read_nifti_file
+
+        def refuse(path):
+            if Path(path).parent.name == "study_0001":
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path)
+
+        monkeypatch.setattr(cli, "read_nifti_file", refuse)
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(fixture_dir, out)) == 0
+        failures = json.loads(Path(str(out) + ".failures.json").read_text())["failures"]
+        assert [(f["study_id"], f["error_type"]) for f in failures] == [
+            ("study_0001", "PermissionError")]
+        assert "traceback" not in failures[0]

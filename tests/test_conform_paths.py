@@ -1,4 +1,5 @@
-"""The two sampling paths of ``conform_to_ras`` against each other and an oracle.
+"""The two sampling paths of ``conform_to_ras`` against each other and an oracle,
+and the shared slab pass of ``conform_all_to_ras`` against one conform each.
 
 ``full_grid_conform`` is the original implementation, which maps every output
 voxel at once; it stays here as the reference the separable and slab paths
@@ -6,6 +7,7 @@ must reproduce byte for byte.
 """
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainvqa import nifti
-from brainvqa.nifti import Volume3D, VolumeHeader, conform_to_ras
+from brainvqa import cli, nifti
+from brainvqa.nifti import (
+    Volume3D,
+    VolumeHeader,
+    conform_all_to_ras,
+    conform_to_ras,
+    read_nifti_file,
+    write_nifti_file,
+)
+from brainvqa.synthetic import write_fixture
 
 
 def full_grid_conform(vol: Volume3D, target_spacing) -> Volume3D:
@@ -75,7 +85,7 @@ def slab_conform(vol: Volume3D, target_spacing) -> Volume3D:
     spacing = np.asarray(target_spacing, dtype=np.float64)
     header = nifti._ras_header(vol.header, spacing)
     inv = np.linalg.inv(vol.header.affine)
-    return Volume3D(header, nifti._resample_slabs(vol.data, inv, header))
+    return Volume3D(header, nifti._resample_slabs([vol.data], inv, header)[0])
 
 
 def rotation(axis: int, degrees: float) -> np.ndarray:
@@ -185,6 +195,91 @@ class TestSlabPath:
         for dtype in (np.int16, np.float32):
             vol = random_volume(11, dims, dtype, affine)
             assert_identical(conform_to_ras(vol, spacing), full_grid_conform(vol, spacing))
+
+
+def counted_slab_passes(monkeypatch) -> list[int]:
+    """The number of arrays of every ``_resample_slabs`` call from now on."""
+    calls = []
+    real = nifti._resample_slabs
+
+    def counting(datas, inv, header):
+        calls.append(len(datas))
+        return real(datas, inv, header)
+
+    monkeypatch.setattr(nifti, "_resample_slabs", counting)
+    return calls
+
+
+class TestSharedPass:
+    AFFINE = oblique_affine(20, 12, (1.0, 1.1, 1.3), (-10, -12, -8))
+
+    def volumes(self, dtypes, order, dims=(20, 23, 17), affine=AFFINE):
+        return [Volume3D(vol.header, np.asarray(vol.data, order=order))
+                for vol in (random_volume(seed, dims, dtype, affine)
+                            for seed, dtype in enumerate(dtypes))]
+
+    @pytest.mark.parametrize("slab_voxels", [1, 700, 1 << 15])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtypes", [(np.int16, np.float32),
+                                        (np.int16, np.float32, np.uint8)])
+    def test_one_pass_per_header_equals_one_conform_each(self, monkeypatch, slab_voxels,
+                                                         order, dtypes):
+        monkeypatch.setattr(nifti, "_SLAB_VOXELS", slab_voxels)
+        vols = self.volumes(dtypes, order)
+        expected = [conform_to_ras(vol, (1, 1, 1)) for vol in vols]
+        passes = counted_slab_passes(monkeypatch)
+        got = conform_all_to_ras(vols, (1, 1, 1))
+        assert passes == [len(vols)]
+        for out, want, vol in zip(got, expected, vols):
+            assert_identical(out, want)
+            assert_identical(out, full_grid_conform(vol, (1, 1, 1)))
+
+    @pytest.mark.parametrize("differ", ["affine", "dims", "order"])
+    def test_different_headers_take_separate_passes(self, monkeypatch, differ):
+        first, second, third = self.volumes((np.int16, np.float32, np.int32), "F")
+        if differ == "affine":
+            affine = self.AFFINE.copy()
+            affine[:3, 3] += (0.35, -0.2, 0.1)
+            second = random_volume(7, (20, 23, 17), np.float32, affine)
+        elif differ == "dims":
+            second = random_volume(7, (20, 23, 18), np.float32, self.AFFINE)
+        else:
+            second = Volume3D(second.header, np.ascontiguousarray(second.data))
+        vols = [first, second, third]
+        passes = counted_slab_passes(monkeypatch)
+        got = conform_all_to_ras(vols, (0.9, 1.0, 1.2))
+        assert passes == [2, 1]  # first and third together, second on its own
+        for out, vol in zip(got, vols):
+            assert_identical(out, full_grid_conform(vol, (0.9, 1.0, 1.2)))
+
+    def test_axis_aligned_volumes_take_no_slab_pass(self, monkeypatch):
+        vols = self.volumes((np.int16, np.float32), "F", affine=np.diag([-2.0, 1.0, 1.5, 1.0]))
+        passes = counted_slab_passes(monkeypatch)
+        got = conform_all_to_ras(vols, (1, 1, 1))
+        assert passes == []
+        for out, vol in zip(got, vols):
+            assert_identical(out, full_grid_conform(vol, (1, 1, 1)))
+
+    def test_study_on_two_grids_records_a_geometry_error(self, tmp_path):
+        root = write_fixture(tmp_path / "corpus", n_studies=2, seed=7, dims=(32, 32, 32))
+        affine = oblique_affine(20, 12, (1.0, 1.1, 1.3), (0, 0, 0))
+        for path in sorted(root.rglob("*.nii.gz")):
+            data = read_nifti_file(path).data
+            if path.parent.name == "study_0001" and path.name == "t1.nii.gz":
+                data = data[:, :, 2:]  # a grid of other dims once conformed
+            write_nifti_file(Volume3D.from_array(data, (1.0, 1.1, 1.3), affine), path)
+        out = tmp_path / "desc.jsonl"
+        assert cli.main(["describe", "--data-dir", str(root / "studies"),
+                         "--labels-config", str(root / "labels.json"),
+                         "--atlas", str(root / "atlas.nii.gz"),
+                         "--region-map", str(root / "region_map.json"),
+                         "--out", str(out)]) == 0
+        failures = json.loads(out.with_name("desc.jsonl.failures.json").read_text())
+        assert [(f["study_id"], f["error_type"]) for f in failures["failures"]] == [
+            ("study_0001", "GeometryError")]
+        assert "grid" in failures["failures"][0]["error"]
+        assert {json.loads(line)["study_id"] for line in out.read_text().splitlines()} == {
+            "study_0000"}
 
 
 def traced_peak(fn, *args) -> tuple[object, int]:

@@ -24,9 +24,9 @@ from brainvqa.nifti import (
     conform_to_ras,
     orientation_code,
     parse_nifti,
-    voxel_volume,
     write_nifti,
 )
+from geometry_helpers import voxel_volume
 
 
 def label_arrays():

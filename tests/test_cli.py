@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from brainvqa import cli
 from brainvqa.cli import EXIT_NUMERIC, main
 from brainvqa.moe import init_moe_params, save_checkpoint
-from brainvqa.nifti import LabelMask, Volume3D, read_nifti_file, write_nifti_file
+from brainvqa.nifti import LabelMask, Volume3D, conform_to_ras, read_nifti_file, write_nifti_file
 from brainvqa.qagen import record_from_json
 from brainvqa.surface import marching_cubes, write_off
 from brainvqa.synthetic import write_fixture
@@ -26,6 +27,9 @@ CANONICAL_SUM_FIELDS = ("area_mm2", "sphericity", "compactness", "solidity")
 # The same corpus on a rotated, anisotropic grid (``oblique_fixture_dir``),
 # captured before the slab conform shared its index pass between volumes.
 GOLDEN_OBLIQUE = Path(__file__).parent / "data" / "golden_descriptors_oblique.jsonl"
+# Many components per label (``scatter_fixture_dir``), captured while shape
+# metrics were still computed one component at a time.
+GOLDEN_SCATTER = Path(__file__).parent / "data" / "golden_descriptors_scatter.jsonl"
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +59,71 @@ def oblique_fixture_dir(tmp_path_factory) -> Path:
     return root
 
 
+def scatter_seg(rng: np.random.Generator, dims) -> np.ndarray:
+    """About 20 small components per label, each label scattered over the brain ball.
+
+    Components are single voxels, pairs, rods, 3 x 3 plates and small
+    ellipsoids (rods and plates have a zero minor axis).  Each label-1 box has
+    a label-2 box against one face and each label-3 box a label-4 box against
+    one edge, so labels touch without merging their components.
+    """
+    seg = np.zeros(dims, dtype=np.int16)
+    grid = np.indices(dims)
+
+    def spot(margin=4):
+        return rng.integers(24 - 14 + margin, 24 + 14 - margin, size=3)
+
+    for label in (1, 2, 3, 4):
+        for k in range(16):
+            c, axis = spot(), int(rng.integers(3))
+            kind = k % 5
+            if kind == 0:
+                seg[tuple(c)] = label
+            elif kind in (1, 2):
+                end = c.copy()
+                end[axis] += kind + int(rng.integers(3))  # pair or rod of 3-5 voxels
+                seg[tuple(slice(a, b + 1) for a, b in zip(c, end))] = label
+            elif kind == 3:
+                size = np.full(3, 3)
+                size[axis] = 1
+                seg[tuple(slice(a, a + n) for a, n in zip(c, size))] = label
+            else:
+                semi = rng.uniform(0.9, 2.4, size=3)
+                inside = (((grid - c[:, None, None, None]) / semi[:, None, None, None]) ** 2
+                          ).sum(axis=0) <= 1.0
+                seg[inside] = label
+    for low, high, step in ((1, 2, (3, 0, 0)), (3, 4, (3, 3, 0))):
+        for _ in range(3):
+            c = spot(6)
+            seg[c[0]:c[0] + 3, c[1]:c[1] + 3, c[2]:c[2] + 2] = low
+            d = c + step
+            seg[d[0]:d[0] + 3, d[1]:d[1] + 3, d[2]:d[2] + 2] = high
+    return seg
+
+
+@pytest.fixture(scope="session")
+def scatter_fixture_dir(tmp_path_factory) -> Path:
+    """Two studies of scattered lesions (:func:`scatter_seg`) on the oblique grid.
+
+    The brain ball and atlas are ``write_fixture``'s; every volume is then
+    rewritten on ``oblique_fixture_dir``'s 1 x 1.1 x 1.3 mm rotated grid.
+    Study 0001's label 4 also has a radius-7 core, so that label takes the
+    dominant-core branch while the others average their components.
+    """
+    root = write_fixture(tmp_path_factory.mktemp("scatter"), n_studies=2, seed=7)
+    rng = np.random.default_rng(19)
+    for study in sorted((root / "studies").iterdir()):
+        seg = scatter_seg(rng, (48, 48, 48))
+        if study.name == "study_0001":
+            seg[np.sum((np.indices(seg.shape).T - (30, 18, 24)) ** 2, axis=-1).T <= 49] = 4
+        write_nifti_file(Volume3D.from_array(seg), study / "seg.nii.gz")
+    affine = oblique_affine(20, 12, (1.0, 1.1, 1.3), (0.0, 0.0, 0.0))
+    for path in sorted(root.rglob("*.nii.gz")):
+        data = read_nifti_file(path).data
+        write_nifti_file(Volume3D.from_array(data, (1.0, 1.1, 1.3), affine), path)
+    return root
+
+
 def describe_args(root: Path, out: Path, workers: int = 1) -> list[str]:
     return [
         "describe",
@@ -78,6 +147,29 @@ class TestDescribe:
         out = tmp_path / "desc.jsonl"
         assert main(describe_args(oblique_fixture_dir, out, workers)) == 0
         assert out.read_text() == GOLDEN_OBLIQUE.read_text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scatter_corpus_matches_golden_file(self, scatter_fixture_dir, tmp_path, workers):
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(scatter_fixture_dir, out, workers)) == 0
+        assert out.read_text() == GOLDEN_SCATTER.read_text()
+
+    def test_scatter_corpus_covers_its_cases(self, scatter_fixture_dir):
+        """After the conform: at least 10 components per label, both averaging
+        and dominant-core labels, single-voxel components and touching labels."""
+        rows = [json.loads(line) for line in GOLDEN_SCATTER.read_text().splitlines()]
+        assert min(r["n_components"] for r in rows) >= 10
+        assert {"scattered lesions", "core with satellite lesions"} <= {r["spread"] for r in rows}
+        for study in ("study_0000", "study_0001"):
+            path = scatter_fixture_dir / "studies" / study / "seg.nii.gz"
+            seg = np.pad(conform_to_ras(read_nifti_file(path), (1.0,) * 3).data, 1)
+            shifts = [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)]
+            neighbours = [np.roll(seg, s, axis=(0, 1, 2)) for s in shifts]
+            lesion = seg > 0
+            other_label = np.any([(n > 0) & (n != seg) for n in neighbours], axis=0)
+            alone = np.all([n != seg for n in neighbours], axis=0)
+            assert (lesion & other_label).any(), study
+            assert (lesion & alone).sum() >= 4, study
 
     def test_canonical_sums_move_only_their_fields(self):
         """Against the float-sum descriptors: four fields within 1e-12, the rest identical."""

@@ -181,11 +181,15 @@ def _describe_study(study_dir: Path, labels, atlas, args):
     spacing = (args.spacing,) * 3
     brain, seg = conform_all_to_ras(
         [read_nifti_file(_find_volume(study_dir, stem)) for stem in ("t1", "seg")], spacing)
+    if brain.header.dims != seg.header.dims:
+        raise GeometryError(f"brain grid {brain.header.dims} != mask grid {seg.header.dims}")
+    brain_voxels = int(np.count_nonzero(brain.data))
+    del brain  # describe reads only the count: the geometry runs without the full grid
     mask = LabelMask(_integer_labels(seg), dict(labels))
     mesh_out = getattr(args, "mesh_out", None)
     if mesh_out:
         _export_meshes(study_dir.name, mask, spacing, Path(mesh_out))
-    return compute_descriptors(study_dir.name, brain, mask, atlas, args.min_overlap)
+    return compute_descriptors(study_dir.name, brain_voxels, mask, atlas, args.min_overlap)
 
 
 def _export_meshes(study_id: str, mask: LabelMask, spacing, out_dir: Path) -> None:

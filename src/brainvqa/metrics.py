@@ -95,21 +95,6 @@ def _percent(score: np.ndarray) -> float | None:
     return 100.0 * int(score.sum()) / len(score)
 
 
-def task_accuracy(preds: list, golds: list, task: str) -> float | None:
-    """Exact-match percent over records where the task was asked.
-
-    Returns None (undefined, reported as absent) when nothing is included.
-    """
-    included, hits = _scores(preds, golds, region=False)
-    return _percent(hits[included])
-
-
-def region_accuracy(preds: list, golds: list) -> float | None:
-    """Mean per-label correctness per record, macro-averaged over records."""
-    included, credit = _scores(preds, golds, region=True)
-    return _percent(credit[included])
-
-
 def bootstrap_std(
     scores: dict[str, tuple[np.ndarray, np.ndarray]],
     resamples: int = BOOTSTRAP_RESAMPLES,

@@ -15,7 +15,6 @@ coordinates, from one split per study (:meth:`LabelMask.label_coords`).
 from __future__ import annotations
 
 import gzip
-import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -38,6 +37,11 @@ GZIP_MAGIC = b"\x1f\x8b"
 # Bytes inflated past the declared payload, so that a member ending right after
 # it is read to its end and its CRC is checked; anything later is not inflated.
 _GZIP_MARGIN = 1 << 16
+# Most bytes one inflate call returns, held besides the payload while it is
+# copied in; each call also copies the compressed input it leaves.
+_INFLATE_CHUNK = 1 << 19
+# Deflate inflates at most about 1032 bytes per input byte.
+_DEFLATE_RATIO = 1032
 
 # (name, format, shape) triples for the 348-byte NIfTI-1 header.
 _HEADER_FIELDS = [
@@ -328,14 +332,21 @@ class _GzipStream:
         self._member = zlib.decompressobj(16 + zlib.MAX_WBITS)
         self._pending = raw  # compressed input the current member has not taken
 
-    def read(self, n: int) -> bytes:
-        """The next ``n`` inflated bytes, or fewer where the stream ends."""
-        out, size = [], 0
-        n = min(n, sys.maxsize)  # zlib's bound is a C ssize_t; no stream is longer
+    def read(self, n: int) -> bytearray:
+        """The next ``n`` inflated bytes, or fewer where the stream ends.
+
+        They are inflated ``_INFLATE_CHUNK`` bytes at a time into one writable
+        buffer, so that a payload is held once and can be viewed in place.
+        The buffer is sized up front, but not beyond what the rest of the
+        input can inflate to, so a forged header cannot make it large.
+        """
+        out = bytearray(min(n, _DEFLATE_RATIO * len(self._pending)))
+        size = 0
         try:
             while size < n:
-                out.append(self._member.decompress(self._pending, n - size))
-                size += len(out[-1])
+                chunk = self._member.decompress(self._pending, min(n - size, _INFLATE_CHUNK))
+                out[size : size + len(chunk)] = chunk
+                size += len(chunk)
                 if self._member.eof:
                     self._pending = self._member.unused_data
                     if not self._pending:
@@ -343,11 +354,12 @@ class _GzipStream:
                     self._member = zlib.decompressobj(16 + zlib.MAX_WBITS)
                 else:
                     self._pending = self._member.unconsumed_tail
-                    if not out[-1] and not self._pending:
+                    if not chunk and not self._pending:
                         raise TruncatedFileError("gzip stream ends early")
         except zlib.error as exc:
             raise FormatError(f"corrupt gzip stream: {exc}") from None
-        return b"".join(out)
+        del out[size:]
+        return out
 
 
 def parse_nifti(raw: bytes) -> Volume3D:
@@ -408,7 +420,10 @@ def parse_nifti(raw: bytes) -> Volume3D:
     # Read in place: a slice of ``raw`` would be one more copy of the payload.
     data = np.frombuffer(raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset)
     data = data.reshape(dims, order="F")
-    data = data.astype(data.dtype.newbyteorder("="))
+    if stream is None:  # the caller's bytes: a native, writable copy
+        data = data.astype(dtype.newbyteorder("="))
+    elif not dtype.isnative:  # the inflated buffer is ours: swap it in place
+        data = data.byteswap(inplace=True).view(dtype.newbyteorder("="))
 
     slope = float(hdr["scl_slope"])
     inter = float(hdr["scl_inter"])

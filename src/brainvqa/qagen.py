@@ -24,7 +24,7 @@ from .morphology import (
     connected_components,
     spread_classify,
 )
-from .nifti import LabelMask, Volume3D
+from .nifti import LabelMask
 from .regions import (
     Atlas,
     DEFAULT_MIN_OVERLAP_VOXELS,
@@ -37,7 +37,7 @@ from .regions import (
     volume_bin,
 )
 from .rng import stream
-from .shape import SHAPE_CATEGORIES, ShapeMetrics, describe_shape
+from .shape import SHAPE_CATEGORIES, ShapeMetrics, describe_shape, shape_components
 from .templates import TASKS, UNSPECIFIED, Template, TemplateBank, descriptor_values, render
 
 SCHEMA_VERSION = 1
@@ -83,31 +83,30 @@ class DatasetRecord:
 
 def compute_descriptors(
     study_id: str,
-    brain: Volume3D,
+    brain_voxels: int,
     mask: LabelMask,
     atlas: Atlas,
     min_overlap_voxels: int = DEFAULT_MIN_OVERLAP_VOXELS,
 ) -> list[TaskDescriptors]:
     """Run the full geometry pipeline for every configured label.
 
-    All inputs must already be conformed onto the same RAS grid.  Every stage
-    takes a label's voxel coordinates from one split of the mask, and one hull
-    call serves the components of every label; a label with zero voxels
+    ``brain_voxels`` counts the brain on the mask's grid; the atlas must
+    already be conformed onto that grid.  Every stage takes a label's voxel
+    coordinates from one split of the mask, and one hull call serves the
+    components that every label's shape reads; a label with zero voxels
     yields the all-N/A descriptor rather than an error.
     """
     grid = mask.volume.header.dims
-    for what, dims in (("brain", brain.header.dims), ("atlas", atlas.labels.volume.header.dims)):
-        if dims != grid:
-            raise GeometryError(f"{what} grid {dims} != mask grid {grid}")
+    if atlas.labels.volume.header.dims != grid:
+        raise GeometryError(f"atlas grid {atlas.labels.volume.header.dims} != mask grid {grid}")
     spacing = mask.volume.header.pixdim
-    brain_voxels = int(np.count_nonzero(brain.data))
     split = mask.label_coords()
     labels = sorted(mask.label_names)
     labelings = [connected_components(split[label], spacing) for label in labels]
-    hulls = iter(voxel_hull_volumes(
-        [coords for labeling in labelings for coords in labeling.component_coords], spacing))
+    measured = [shape_components(labeling) for labeling in labelings]
+    hulls = iter(voxel_hull_volumes([c for comps in measured for c in comps], spacing))
     out = []
-    for label, labeling in zip(labels, labelings):
+    for label, labeling, comps in zip(labels, labelings, measured):
         name = mask.label_names[label]
         coords = split[label]
         if coords.shape[0] == 0:
@@ -116,8 +115,7 @@ def compute_descriptors(
         vb = volume_bin(relative_volume(coords.shape[0], brain_voxels))
         assignment = region_overlap(coords, atlas, min_overlap_voxels)
         spread = spread_classify(labeling)
-        category, agg = describe_shape(
-            labeling, spacing, [next(hulls) for _ in range(labeling.n_components)])
+        category, agg = describe_shape(labeling, spacing, [next(hulls) for _ in comps])
         warnings = ["volume fraction above 75%, clamped"] if vb.clamped else []
         out.append(
             TaskDescriptors(

@@ -8,9 +8,12 @@ triangle corner is keyed by the grid edge it lies on (lower corner, axis), and
 ``np.unique`` welds equal keys into one vertex, numbered in order of first use.
 
 On a binary mask every vertex is an edge midpoint, so the surface area needs
-no mesh: :func:`surface_area` is ``math.fsum`` of the cells' case counts times
-:func:`case_area`, each case's triangle area at the given spacing.  It is the
-area that descriptors report; :func:`marching_cubes` serves mesh export.
+no mesh: it is ``math.fsum`` of the cells' case counts times :func:`case_area`,
+each case's triangle area at the given spacing.  ``_component_areas`` counts
+the cases of many voxel sets with one pass over their crops laid side by side
+(one pass per crop width class); it gives the area that descriptors report (through
+:func:`shape.component_shape_metrics`), and :func:`surface_area` is its call
+for one mask.  :func:`marching_cubes` serves mesh export.
 """
 from __future__ import annotations
 
@@ -75,17 +78,6 @@ class SurfaceMesh:
             raise GeometryError("non-finite mesh vertex")
 
 
-def cell_triangles(case: int) -> list[tuple[int, int, int]]:
-    """Edge-index triples of one table case (exposed for the table audit)."""
-    row = TRI_TABLE[case]
-    tris = []
-    for i in range(0, 16, 3):
-        if row[i] < 0:
-            break
-        tris.append((row[i], row[i + 1], row[i + 2]))
-    return tris
-
-
 def _cell_cases(inside: np.ndarray) -> np.ndarray:
     """Case index of every cell of a padded boolean grid.
 
@@ -93,10 +85,10 @@ def _cell_cases(inside: np.ndarray) -> np.ndarray:
     matching the table convention.
     """
     nx, ny, nz = (s - 1 for s in inside.shape)
-    case = np.zeros((nx, ny, nz), dtype=np.int32)
+    case = np.zeros((nx, ny, nz), dtype=np.uint8)
     for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
         below = ~inside[ox : ox + nx, oy : oy + ny, oz : oz + nz]
-        case |= below.astype(np.int32) << bit
+        case |= below.view(np.uint8) << bit
     return case
 
 
@@ -122,16 +114,68 @@ def surface_area(
 ) -> float:
     """Area in mm^2 of the marching-cubes surface of a binary mask, without a mesh.
 
-    ``math.fsum`` of the case counts of the one-voxel zero-padded mask times
-    :func:`case_area`; it equals ``triangle_areas(marching_cubes(mask,
-    spacing)).sum()`` up to the rounding of the two sums.
+    ``math.fsum`` of the mask's case counts times :func:`case_area`; it equals
+    ``triangle_areas(marching_cubes(mask, spacing)).sum()`` up to the
+    rounding of the two sums.
     """
     mask = np.asarray(mask)
     if mask.ndim != 3:
         raise GeometryError(f"mask must be 3D, got shape {mask.shape}")
-    case = _cell_cases(np.pad(mask != 0, 1))
-    counts = np.bincount(case.ravel(), minlength=256)
-    return math.fsum(counts * case_area(tuple(float(s) for s in spacing)))
+    coords = np.argwhere(mask)
+    if len(coords) == 0:
+        return 0.0
+    return _component_areas(coords, np.array([len(coords)]), spacing)[0]
+
+
+def _component_areas(
+    coords: np.ndarray, sizes: np.ndarray, spacing: tuple[float, float, float]
+) -> list[float]:
+    """Marching-cubes area in mm^2 of each of k voxel sets, from their crops' cases.
+
+    ``coords`` holds the sets' voxels one after another, ``sizes[i]`` rows
+    each.  Sets whose crops have about the same width on the second and the
+    third axis (the same power of two above it) share one canvas and one case
+    pass (:func:`_canvas_case_counts`), so padding a crop to the canvas at
+    most doubles each of those widths.  Each area is ``math.fsum`` of the
+    set's case counts times :func:`case_area`.
+    """
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(coords, starts, axis=0)
+    extent = np.maximum.reduceat(coords, starts, axis=0) - lo + 1
+    width = np.ceil(np.log2(extent[:, 1:] + 2)).astype(np.int64)
+    canvas_of = np.unique(width, axis=0, return_inverse=True)[1].ravel()
+    local = coords - np.repeat(lo, sizes, axis=0)
+    counts = np.empty((len(sizes), 256), dtype=np.int64)
+    for c in range(canvas_of.max() + 1):
+        members = canvas_of == c
+        counts[members] = _canvas_case_counts(
+            local[np.repeat(members, sizes)], sizes[members], extent[members])
+    used = np.flatnonzero(counts)
+    products = (counts.ravel()[used]
+                * case_area(tuple(float(s) for s in spacing))[used % 256]).tolist()
+    ends = np.searchsorted(used, 256 * np.arange(1, len(sizes) + 1)).tolist()
+    return [math.fsum(products[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _canvas_case_counts(local: np.ndarray, sizes: np.ndarray, extent: np.ndarray) -> np.ndarray:
+    """(m, 256) case counts of m voxel sets laid out on one canvas.
+
+    ``local`` holds each set's voxels relative to its crop's lowest corner,
+    one set after another, and ``extent`` the crops' widths.  The crops go
+    one after another along the first axis, with a background plane before,
+    between and after them, padded with background to the widest on the
+    other two axes.  A cell then sees the voxels of at most one set, and its
+    plane says which: each set's cells with triangles are those of its own
+    padded crop, so the sets may touch or overlap in the grid they came from.
+    """
+    planes = extent[:, 0] + 1  # a crop and the background plane before it
+    first = np.cumsum(planes) - extent[:, 0]  # canvas plane of each crop's lowest voxels
+    shape = (int(planes.sum()) + 1, int(extent[:, 1].max()) + 2, int(extent[:, 2].max()) + 2)
+    canvas = np.zeros(shape, dtype=bool)
+    canvas[np.repeat(first, sizes) + local[:, 0], local[:, 1] + 1, local[:, 2] + 1] = True
+    owner = np.repeat(np.arange(len(sizes)) * 256, planes)  # of each plane of cells
+    keys = _cell_cases(canvas) + owner[:, None, None]
+    return np.bincount(keys.ravel(), minlength=len(sizes) * 256).reshape(-1, 256)
 
 
 def marching_cubes(

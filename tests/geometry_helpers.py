@@ -1,11 +1,15 @@
-"""Voxel, mesh and hull checks that only tests and acceptance criteria use.
+"""Voxel, mesh, hull and shape checks that only tests and acceptance criteria use.
 
 The descriptor path needs none of these: it takes the area from case counts
-(``surface.surface_area``) and the solidity from the exact lattice hull volume
-(``hull.voxel_hull_volumes``).  What stays here checks those against meshes
-and float hulls: edge closure, winding and area of a mesh, the analytic mesh
-of one voxel, and the float hull volume of a point cloud or of a voxel set's
-corners.
+(``surface._component_areas``) and the solidity from the exact lattice hull
+volume (``hull.voxel_hull_volumes``).  What stays here checks those against
+meshes and float hulls: edge closure, winding and area of a mesh, the
+analytic mesh of one voxel, the edge triangles of one table case, and the
+float hull volume of a point cloud or of a voxel set's corners.
+
+``reference_shape_metrics`` is the one-component-at-a-time shape metrics
+oracle: a bounding-box crop, its full case grid, and one ``eigvalsh`` per
+component.  ``shape.component_shape_metrics`` must equal it field for field.
 
 Two float quickhulls are the hull oracles.  ``float_quickhull`` is array
 code with unit normals and an ``eps`` relative to the coordinate scale, one
@@ -16,14 +20,17 @@ raise ``DegenerateHullError`` on flat ones.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 
-from brainvqa.errors import DegenerateHullError
-from brainvqa.hull import _CORNER_SIGNS, _cross
+from brainvqa.errors import DegenerateHullError, GeometryError
+from brainvqa.hull import _CORNER_SIGNS, _cross, voxel_hull_volumes
+from brainvqa.mc_tables import TRI_TABLE
 from brainvqa.nifti import VolumeHeader
-from brainvqa.surface import SurfaceMesh, triangle_areas
+from brainvqa.shape import ShapeMetrics
+from brainvqa.surface import SurfaceMesh, _cell_cases, case_area, triangle_areas
 
 
 def voxel_volume(header: VolumeHeader) -> float:
@@ -88,6 +95,103 @@ def single_voxel_mesh(
         dtype=np.int64,
     )
     return SurfaceMesh(verts, tris)
+
+
+def cell_triangles(case: int) -> list[tuple[int, int, int]]:
+    """Edge-index triples of one table case (for the table audit)."""
+    row = TRI_TABLE[case]
+    tris = []
+    for i in range(0, 16, 3):
+        if row[i] < 0:
+            break
+        tris.append((row[i], row[i + 1], row[i + 2]))
+    return tris
+
+
+# ---------------------------------------------------------------------------
+# Shape metrics of one component at a time
+
+_EIG_ZERO_TOL = 1e-12
+
+
+def _covariance(coords: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Biased covariance of the world voxel centers, in mm^2."""
+    world = coords * spacing
+    centered = world - world.mean(axis=0)
+    return centered.T @ centered / coords.shape[0]
+
+
+def _descending_eigenvalues(cov: np.ndarray) -> tuple[float, float, float]:
+    eig = np.clip(np.linalg.eigvalsh(cov), 0.0, None)[::-1]
+    return (float(eig[0]), float(eig[1]), float(eig[2]))
+
+
+def pca_axes(
+    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+) -> tuple[float, float, float]:
+    """Descending eigenvalues of the biased covariance of world voxel centers.
+
+    No regularization is applied here; a single voxel yields (0, 0, 0).
+    """
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    if coords.shape[0] < 1:
+        raise GeometryError("pca_axes needs at least one voxel")
+    return _descending_eigenvalues(_covariance(coords, np.asarray(spacing, dtype=np.float64)))
+
+
+def _regularized_axes(
+    coords: np.ndarray, spacing: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """Eigenvalues with the single-voxel variance floor spacing^2/12 per axis."""
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    spacing = np.asarray(spacing, dtype=np.float64)
+    return _descending_eigenvalues(_covariance(coords, spacing) + np.diag(spacing**2 / 12.0))
+
+
+def crop_surface_area(mask: np.ndarray, spacing: tuple[float, float, float]) -> float:
+    """``math.fsum`` of the case counts of every cell of the zero-padded mask."""
+    case = _cell_cases(np.pad(mask != 0, 1))
+    counts = np.bincount(case.ravel(), minlength=256)
+    return math.fsum(counts * case_area(tuple(float(s) for s in spacing)))
+
+
+def reference_shape_metrics(
+    coords: np.ndarray,
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    hull_volume: float | None = None,
+) -> ShapeMetrics:
+    """All shape metrics of one connected component, from its own crop."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    if coords.shape[0] == 0:
+        raise GeometryError("cannot compute shape metrics of an empty component")
+    spacing = tuple(float(s) for s in spacing)
+    dv = spacing[0] * spacing[1] * spacing[2]
+    volume = coords.shape[0] * dv
+
+    local = coords - coords.min(axis=0)
+    mask = np.zeros(tuple(local.max(axis=0) + 1), dtype=bool)
+    mask[local[:, 0], local[:, 1], local[:, 2]] = True
+    area = crop_surface_area(mask, spacing)
+
+    lam = pca_axes(coords, spacing)
+    if coords.shape[0] < 3 or lam[1] < _EIG_ZERO_TOL or lam[2] < _EIG_ZERO_TOL:
+        lam = _regularized_axes(coords, spacing)
+    elongation = float(np.sqrt(lam[0] / lam[1]))
+    flatness = float(np.sqrt(lam[2] / lam[1]))
+
+    if hull_volume is None:
+        hull_volume = voxel_hull_volumes([coords], spacing)[0]
+    sphericity = float(np.pi ** (1.0 / 3.0) * (6.0 * volume) ** (2.0 / 3.0) / area)
+    return ShapeMetrics(
+        volume=volume,
+        area=area,
+        sphericity=sphericity,
+        compactness=area / volume,
+        eigenvalues=lam,
+        elongation=elongation,
+        flatness=flatness,
+        solidity=volume / hull_volume,
+    )
 
 
 def convex_hull_volume(points: np.ndarray) -> float:

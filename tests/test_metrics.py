@@ -14,10 +14,10 @@ from brainvqa.metrics import (
     cohen_kappa,
     evaluate_predictions,
     heatmap_to_csv,
+    _percent,
+    _scores,
     normalize_answer,
-    region_accuracy,
     routing_heatmap,
-    task_accuracy,
 )
 from brainvqa.qagen import SPREAD_CATEGORIES, DatasetRecord, generate_dataset
 from brainvqa.regions import REGION_NAMES, VOLUME_BINS
@@ -25,6 +25,19 @@ from brainvqa.shape import SHAPE_CATEGORIES
 from brainvqa.templates import UNSPECIFIED, default_bank
 from test_qagen import descriptor
 import metrics_oracle as oracle
+
+
+def task_accuracy(preds: list, golds: list) -> float | None:
+    """Exact-match percent over the records where the task was asked (None if
+    none was), from the per-record scores that ``evaluate_predictions`` uses."""
+    included, hit = _scores(preds, golds, region=False)
+    return _percent(hit[included])
+
+
+def region_accuracy(preds: list, golds: list) -> float | None:
+    """Mean per-label correctness per record, macro-averaged over records."""
+    included, credit = _scores(preds, golds, region=True)
+    return _percent(credit[included])
 
 
 def hits(*values):
@@ -41,27 +54,26 @@ def oracle_std(pairs, resamples, seed):
 
 class TestTaskAccuracy:
     def test_all_correct(self):
-        assert task_accuracy(["a", "b"], ["a", "b"], "shape") == 100.0
+        assert task_accuracy(["a", "b"], ["a", "b"]) == 100.0
 
     def test_half_correct_of_four(self):
-        assert task_accuracy(list("abcd"), list("abxy"), "shape") == 50.0
+        assert task_accuracy(list("abcd"), list("abxy")) == 50.0
 
     def test_na_is_an_ordinary_class(self):
-        assert task_accuracy(["N/A"], ["N/A"], "volume") == 100.0
-        assert task_accuracy(["N/A"], ["<1%"], "volume") == 0.0
+        assert task_accuracy(["N/A"], ["N/A"]) == 100.0
+        assert task_accuracy(["N/A"], ["<1%"]) == 0.0
 
     def test_unspecified_records_excluded(self):
-        assert task_accuracy(["x", "b"], [UNSPECIFIED, "b"], "volume") == 100.0
+        assert task_accuracy(["x", "b"], [UNSPECIFIED, "b"]) == 100.0
 
     def test_zero_included_is_absent(self):
-        assert task_accuracy(["x"], [UNSPECIFIED], "volume") is None
+        assert task_accuracy(["x"], [UNSPECIFIED]) is None
 
     def test_permutation_invariance(self):
         preds, golds = list("aabb"), list("abab")
-        base = task_accuracy(preds, golds, "shape")
+        base = task_accuracy(preds, golds)
         order = [2, 0, 3, 1]
-        assert task_accuracy([preds[i] for i in order], [golds[i] for i in order],
-                             "shape") == base
+        assert task_accuracy([preds[i] for i in order], [golds[i] for i in order]) == base
 
 
 class TestRegionAccuracy:
@@ -84,7 +96,7 @@ class TestRegionAccuracy:
         # exact-set-match task accuracy
         golds = [["frontal"], "N/A", ["insula", "limbic"]]
         canon = lambda g: g if isinstance(g, str) else tuple(sorted(g))
-        exact = task_accuracy([canon(g) for g in golds], [canon(g) for g in golds], "region")
+        exact = task_accuracy([canon(g) for g in golds], [canon(g) for g in golds])
         assert region_accuracy(golds, golds) == exact == 100.0
 
 
@@ -325,7 +337,7 @@ class TestAgainstPerResampleOracle:
     def test_point_estimates_equal(self):
         golds = ["a", UNSPECIFIED, "N/A", "b", "c"]
         preds = ["a", "a", "N/A", None, "c"]
-        assert task_accuracy(preds, golds, "shape") == oracle.task_accuracy(preds, golds)
+        assert task_accuracy(preds, golds) == oracle.task_accuracy(preds, golds)
         region_golds = [["frontal"], "N/A", UNSPECIFIED, ["insula", "limbic"]]
         region_preds = [["frontal", "insula"], None, "N/A", ["limbic"]]
         assert (region_accuracy(region_preds, region_golds)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from brainvqa.nifti import (
     conform_to_ras,
     orientation_code,
     parse_nifti,
+    read_nifti_file,
     write_nifti,
+    write_nifti_file,
 )
 from geometry_helpers import voxel_volume
 
@@ -54,6 +57,29 @@ layouts = st.sampled_from(sorted(LAYOUTS))
 
 def make_volume(data, pixdim=(1.0, 1.0, 1.0), affine=None) -> Volume3D:
     return Volume3D.from_array(np.asarray(data), pixdim=pixdim, affine=affine)
+
+
+def big_endian(raw: bytes) -> bytes:
+    """``write_nifti`` output of an int16 volume as a big-endian writer would
+    have written it: every decoded header field and the payload byte-swapped."""
+    swapped = bytearray(raw)
+
+    def swap(fmt_le, fmt_be, offset):
+        values = struct.unpack_from(fmt_le, raw, offset)
+        struct.pack_into(fmt_be, swapped, offset, *values)
+
+    swap("<i", ">i", 0)
+    swap("<8h", ">8h", 40)
+    swap("<h", ">h", 70)
+    swap("<h", ">h", 72)
+    swap("<8f", ">8f", 76)
+    swap("<f", ">f", 108)
+    swap("<h", ">h", 254)
+    swap("<4f", ">4f", 280)
+    swap("<4f", ">4f", 296)
+    swap("<4f", ">4f", 312)
+    swapped[352:] = np.frombuffer(raw[352:], dtype="<i2").astype(">i2").tobytes()
+    return bytes(swapped)
 
 
 def hand_built_header_bytes() -> bytes:
@@ -99,29 +125,36 @@ class TestParse:
 
     def test_big_endian_header_detected(self):
         v = make_volume(np.arange(8, dtype=np.int16).reshape(2, 2, 2))
-        raw = bytearray(write_nifti(v))
-        # byte-swap every decoded header field and the payload to fake a
-        # big-endian writer
-        swapped = bytearray(raw)
-
-        def swap(fmt_le, fmt_be, offset):
-            values = struct.unpack_from(fmt_le, raw, offset)
-            struct.pack_into(fmt_be, swapped, offset, *values)
-
-        swap("<i", ">i", 0)
-        swap("<8h", ">8h", 40)
-        swap("<h", ">h", 70)
-        swap("<h", ">h", 72)
-        swap("<8f", ">8f", 76)
-        swap("<f", ">f", 108)
-        swap("<h", ">h", 254)
-        swap("<4f", ">4f", 280)
-        swap("<4f", ">4f", 296)
-        swap("<4f", ">4f", 312)
-        payload = np.frombuffer(bytes(raw[352:]), dtype="<i2").astype(">i2").tobytes()
-        swapped[352:] = payload
-        parsed = parse_nifti(bytes(swapped))
+        parsed = parse_nifti(big_endian(write_nifti(v)))
         assert np.array_equal(parsed.data, v.data)
+
+    def test_big_endian_gzip_payload_swapped_in_place(self):
+        v = make_volume(np.arange(8, dtype=np.int16).reshape(2, 2, 2))
+        parsed = parse_nifti(gzip.compress(big_endian(write_nifti(v))))
+        assert parsed == v
+        assert parsed.data.dtype.isnative and parsed.data.flags.writeable
+
+    def test_gzip_payload_is_held_once(self, tmp_path):
+        """A BraTS-grid int16 seg.nii.gz is inflated into one buffer and viewed
+        in place; a parse that copies the payload peaks at twice its size."""
+        data = np.zeros((240, 240, 155), dtype=np.int16)
+        data[100:140, 90:150, 60:90] = 2
+        path = tmp_path / "seg.nii.gz"
+        write_nifti_file(make_volume(data), path)
+        tracemalloc.start()
+        try:
+            vol = read_nifti_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(vol.data, data) and vol.data.flags.writeable
+        assert peak < 1.3 * data.nbytes
+
+    def test_raw_bytes_are_not_aliased(self):
+        raw = bytearray(write_nifti(make_volume(np.zeros((2, 2, 2), dtype=np.int16))))
+        parsed = parse_nifti(raw)
+        parsed.data[0, 0, 0] = 7
+        assert parse_nifti(raw).data[0, 0, 0] == 0
 
     def test_scl_slope_applied(self):
         v = make_volume(np.ones((2, 2, 2), dtype=np.int16))

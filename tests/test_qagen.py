@@ -47,10 +47,10 @@ class TestComputeDescriptors:
         blob = sphere_mask(dims, (4, 4, 12), 2)  # 33 voxels inside "frontal"
         seg[blob != 0] = 1
         mask = LabelMask(Volume3D.from_array(seg), {1: "Enhancing Tissue", 2: "Resection Cavity"})
-        descs = compute_descriptors("study_a", brain, mask, atlas, min_overlap_voxels=5)
+        brain_voxels = int((brain.data != 0).sum())
+        descs = compute_descriptors("study_a", brain_voxels, mask, atlas, min_overlap_voxels=5)
         by_label = {d.label_name: d for d in descs}
         et = by_label["Enhancing Tissue"]
-        brain_voxels = int((brain.data != 0).sum())
         assert et.volume.raw_fraction == pytest.approx(int(blob.sum()) / brain_voxels)
         assert et.volume.bin == "<1%"
         assert et.regions.regions == ("frontal",)
@@ -78,7 +78,8 @@ class TestComputeDescriptors:
                 data, affine = variant(vol.data)
                 conformed.append(conform_to_ras(Volume3D.from_array(data, affine=affine)))
             study_mask = LabelMask(conformed[1], mask.label_names)
-            descs = compute_descriptors("study_a", conformed[0], study_mask, atlas, 5)
+            brain_voxels = int(np.count_nonzero(conformed[0].data))
+            descs = compute_descriptors("study_a", brain_voxels, study_mask, atlas, 5)
             out[name] = [descriptor_to_json(d) for d in descs]
         assert sum(not d.absent for d in descs) >= 2
         assert out["F"] == out["C"]

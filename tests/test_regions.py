@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 import pytest
 
+from brainvqa.cli import _describe_study
 from brainvqa.errors import ConfigError, GeometryError
-from brainvqa.nifti import LabelMask, Volume3D
+from brainvqa.nifti import LabelMask, Volume3D, write_nifti_file
 from brainvqa.qagen import compute_descriptors
 from brainvqa.regions import (
     Atlas,
@@ -52,18 +55,20 @@ class TestRelativeVolume:
         with pytest.raises(GeometryError):
             relative_volume(1000, nonzero(brain_with(0)))
 
-    def test_grid_mismatch(self):
-        # The grid check lives where the brain is counted: compute_descriptors.
+    def test_grid_mismatch(self, tmp_path):
+        # The grid check lives where the brain is counted: the study's describe.
+        write_nifti_file(brain_with(10, (5, 5, 5)), tmp_path / "t1.nii.gz")
+        write_nifti_file(one_label((10, 10, 10)).volume, tmp_path / "seg.nii.gz")
+        args = argparse.Namespace(spacing=1.0, min_overlap=5)
         with pytest.raises(GeometryError, match="brain grid"):
-            compute_descriptors("s", brain_with(10, (5, 5, 5)), one_label((10, 10, 10)),
-                                block_atlas((10, 10, 10)))
+            _describe_study(tmp_path, {1: "lesion"}, block_atlas((10, 10, 10)), args)
 
     def test_zero_brain_raises_only_with_a_present_label(self):
         atlas = block_atlas((10, 10, 10))
         with pytest.raises(GeometryError, match="no nonzero voxels"):
-            compute_descriptors("s", brain_with(0), one_label((10, 10, 10)), atlas)
+            compute_descriptors("s", 0, one_label((10, 10, 10)), atlas)
         empty = LabelMask(Volume3D.from_array(np.zeros((10, 10, 10), np.int16)), {1: "x"})
-        (desc,) = compute_descriptors("s", brain_with(0), empty, atlas)
+        (desc,) = compute_descriptors("s", 0, empty, atlas)
         assert desc.absent
 
     def test_invariant_under_conform_round_trip(self):
@@ -194,8 +199,7 @@ class TestRegionOverlap:
     def test_grid_mismatch(self):
         # The grid check lives where the label split is made: compute_descriptors.
         with pytest.raises(GeometryError, match="atlas grid"):
-            compute_descriptors("s", brain_with(1000), one_label((10, 10, 10)),
-                                block_atlas((12, 12, 12)))
+            compute_descriptors("s", 1000, one_label((10, 10, 10)), block_atlas((12, 12, 12)))
 
     @pytest.mark.parametrize("voxel", [(12, 0, 0), (0, 0, 12), (0, -1, 0), (-5, 3, 3)])
     def test_coords_outside_atlas_grid(self, voxel):

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from brainvqa.errors import GeometryError
 from brainvqa.morphology import connected_components
 from brainvqa.shape import (
     SHAPE_ELONGATED,
@@ -12,12 +18,32 @@ from brainvqa.shape import (
     SHAPE_ROUND,
     ShapeMetrics,
     aggregate_metrics,
+    component_shape_metrics,
     describe_shape,
-    pca_axes,
     shape_classify,
     shape_metrics,
 )
 from conftest import digitized_ellipsoid, random_blob
+from geometry_helpers import pca_axes, reference_shape_metrics
+
+SPACINGS = [(1.0, 1.0, 1.0), (1.0, 1.0, 1.3), (0.9, 1.1, 1.3)]
+
+
+def stamped(shape, stamps) -> np.ndarray:
+    """A label grid with ``(label, lo, hi)`` boxes painted in order."""
+    seg = np.zeros(shape, dtype=np.int8)
+    for label, lo, hi in stamps:
+        seg[tuple(slice(a, b) for a, b in zip(lo, hi))] = label
+    return seg
+
+
+# Single voxels, a pair, a rod and a plate (zero minor axes), and labels that
+# touch across a face and along an edge.
+SMALL_CASES = stamped((7, 7, 6), [
+    (1, (0, 0, 0), (1, 1, 1)), (1, (3, 3, 3), (4, 4, 4)), (1, (5, 0, 0), (7, 1, 1)),
+    (2, (0, 3, 0), (1, 7, 1)), (2, (2, 0, 2), (3, 1, 3)), (3, (1, 4, 2), (4, 7, 3)),
+    (3, (4, 3, 4), (5, 4, 5)), (1, (5, 4, 4), (7, 6, 6)), (2, (2, 4, 3), (3, 5, 4)),
+])
 
 
 def metrics_with(phi: float, elongation: float) -> ShapeMetrics:
@@ -120,6 +146,63 @@ class TestShapeMetrics:
             m = shape_metrics(lab.component_coords[0])
             assert m.sphericity <= 1.05
             assert m.solidity <= 1.0 + 1e-6
+
+
+class TestComponentShapeMetrics:
+    """The one-pass metrics of a label's components against one component at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seg=arrays(np.int8, st.tuples(*[st.integers(1, 7)] * 3),
+                      elements=st.sampled_from([0, 0, 0, 1, 1, 2, 3])),
+           spacing=st.sampled_from(SPACINGS))
+    @example(seg=SMALL_CASES, spacing=(1.0, 1.0, 1.3))
+    @example(seg=SMALL_CASES, spacing=(1.0, 1.0, 1.0))
+    def test_equals_one_component_at_a_time(self, seg, spacing):
+        for label in np.unique(seg[seg > 0]):
+            components = connected_components(np.argwhere(seg == label), spacing).component_coords
+            batch = component_shape_metrics(components, spacing)
+            assert batch == [reference_shape_metrics(c, spacing) for c in components]
+
+    def test_small_cases_cover_their_branches(self):
+        sizes = [len(c) for label in (1, 2, 3)
+                 for c in connected_components(np.argwhere(SMALL_CASES == label)).component_coords]
+        assert min(sizes) == 1 and 2 in sizes and len(sizes) >= 8
+        assert (SMALL_CASES[3, 4, 2], SMALL_CASES[2, 3, 2]) == (3, 0)  # rod and plate apart
+        assert SMALL_CASES[2, 4, 2] == 3 and SMALL_CASES[2, 4, 3] == 2  # face contact
+        assert SMALL_CASES[4, 3, 4] == 3 and SMALL_CASES[5, 4, 4] == 1  # edge contact
+
+    def test_given_hull_volumes_are_used(self):
+        coords = [np.array([[0, 0, 0]]), np.array([[5, 5, 5], [6, 5, 5]])]
+        m = component_shape_metrics(coords, (1.0, 1.0, 1.0), [4.0, 8.0])
+        assert [x.solidity for x in m] == [0.25, 0.25]
+
+    def test_touching_and_overlapping_sets_keep_their_own_metrics(self):
+        sets = [np.array([[0, 0, 0]]), np.array([[1, 1, 1], [2, 1, 1]]),
+                np.array([[1, 1, 1], [1, 2, 1], [1, 2, 2]])]
+        spacing = (1.0, 1.0, 1.3)
+        assert component_shape_metrics(sets, spacing) == [
+            reference_shape_metrics(c, spacing) for c in sets]
+
+    def test_wide_crops_do_not_pad_narrow_ones(self):
+        """Two 400-voxel rods and 200 single voxels: one canvas padded to the
+        rods' widths would hold about 65 million cells."""
+        rods = [np.column_stack([np.zeros(400, int), np.arange(400), np.zeros(400, int)]),
+                np.column_stack([np.full(400, 3), np.zeros(400, int), np.arange(400)])]
+        singles = [np.array([[6 + 2 * i, 0, 0]]) for i in range(200)]
+        components = rods + singles
+        tracemalloc.start()
+        try:
+            metrics = component_shape_metrics(components, (1.0, 1.0, 1.3), [1.0] * 202)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert metrics == [reference_shape_metrics(c, (1.0, 1.0, 1.3), 1.0) for c in components]
+
+    @pytest.mark.parametrize("coords", [[], [np.zeros((0, 3), dtype=np.int64)]])
+    def test_empty_input_is_refused(self, coords):
+        with pytest.raises(GeometryError, match="empty"):
+            component_shape_metrics(coords)
 
 
 class TestAggregation:

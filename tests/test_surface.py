@@ -9,14 +9,19 @@ from brainvqa.surface import (
     EDGE_CORNERS,
     SurfaceMesh,
     case_area,
-    cell_triangles,
     marching_cubes,
     surface_area,
     triangle_areas,
     write_off,
 )
 from conftest import random_blob
-from geometry_helpers import is_closed, is_orientable, mesh_area, single_voxel_mesh
+from geometry_helpers import (
+    cell_triangles,
+    is_closed,
+    is_orientable,
+    mesh_area,
+    single_voxel_mesh,
+)
 
 
 class TestMeshArea:

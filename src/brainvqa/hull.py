@@ -1,11 +1,11 @@
 """Exact convex-hull volumes of voxel sets, all components of a study in one call.
 
-:func:`voxel_hull_volumes` is the solidity denominator: per component, the
-hull of its voxel corners on the doubled lattice (``2c ± 1`` per axis).  A
-corner ``2c + s``, ``s`` in ``{-1, +1}^3``, can be a hull vertex only if voxel
-``c`` is the lowest (``s_k = -1``) or highest (``s_k = +1``) of its
-component's axis-``k`` line for all three ``k``, and, once deduplicated, only
-if no two others enclose it on an axis line.  The volume is exact: int64
+:func:`voxel_hull_volumes` is the solidity denominator: per component of a
+ragged set, the hull of its voxel corners on the doubled lattice (``2c ± 1``
+per axis).  A corner ``2c + s``, ``s`` in ``{-1, +1}^3``, can be a hull vertex
+only if voxel ``c`` is the lowest (``s_k = -1``) or highest (``s_k = +1``) of
+its component's axis-``k`` line for all three ``k``, and, once deduplicated,
+only if no two others enclose it on an axis line.  The volume is exact: int64
 triple products of the facets with a hull vertex as origin (each >= 0, in sum
 at most 6·(2·dim)^3 < 2^51 for int16 dims), scaled once by ``sx·sy·sz / 48``.
 
@@ -38,19 +38,21 @@ _FREED = np.array([0.0, 0.0, 0.0, -1.0])
 
 
 def voxel_hull_volumes(
-    components: list[np.ndarray], spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    coords: np.ndarray, sizes: np.ndarray,
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> list[float]:
     """Exact volume in mm^3 of the convex hull of each voxel set's corners.
 
-    Each equals the float volume of the hull of every corner of that set up
-    to the rounding of that sum: it is the exact lattice volume rounded once.
+    ``coords`` holds the sets' voxels one after another, ``sizes[i]`` rows
+    each.  Each volume equals the float volume of the hull of every corner of
+    that set up to the rounding of that sum: it is the exact lattice volume
+    rounded once.
     """
-    if not components:
+    if not len(sizes):
         return []
-    sizes = list(map(len, components))
-    voxels = np.empty((sum(sizes), 4), dtype=np.int64)
-    voxels[:, 0] = np.repeat(np.arange(len(components)), sizes)
-    voxels[:, 1:] = np.concatenate(components)
+    voxels = np.empty((len(coords), 4), dtype=np.int64)
+    voxels[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+    voxels[:, 1:] = coords
     corners = _corner_candidates(voxels)
     group, lattice = corners[:, 0], corners[:, 1:]
     faces = quickhull(lattice, group)
@@ -58,7 +60,7 @@ def voxel_hull_volumes(
     # A component's first corner is its lexicographic minimum, a hull vertex.
     origin = lattice[np.searchsorted(group, face_group)]
     a, b, c = (lattice[faces[:, k]] - origin for k in range(3))
-    sixfold = np.zeros(len(components), dtype=np.int64)
+    sixfold = np.zeros(len(sizes), dtype=np.int64)
     np.add.at(sixfold, face_group, np.einsum("ij,ij->i", a, _cross(b, c)))
     sx, sy, sz = (float(s) for s in spacing)
     return (sixfold * (sx * sy * sz) / 48.0).tolist()

@@ -10,17 +10,15 @@ seeded bootstrap resampling; agreement from Cohen's kappa.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .morphology import NOT_AVAILABLE
-from .qagen import SPREAD_CATEGORIES, DatasetRecord
-from .regions import REGION_NAMES, VOLUME_BINS
+from .qagen import DatasetRecord
+from .regions import REGION_NAMES
 from .rng import stream
-from .shape import SHAPE_CATEGORIES
 from .templates import TASKS, UNSPECIFIED
 
 BOOTSTRAP_RESAMPLES = 500
@@ -216,39 +214,3 @@ def evaluate_predictions(
     return MetricsReport(accuracy=accuracy, bootstrap_std=stds, task_mean=task_mean,
                          counts=counts, oos_accuracy=oos_acc)
 
-
-# ---------------------------------------------------------------------------
-# Free-text answer normalization (deterministic keyword matcher)
-
-_VOCAB_BY_TASK = {
-    "volume": VOLUME_BINS,
-    "shape": SHAPE_CATEGORIES,
-    "spread": SPREAD_CATEGORIES,
-}
-
-_REGION_SPLIT_RE = re.compile(r",|\band\b")
-
-
-def normalize_answer(text: str, task: str):
-    """Map free text onto a task vocabulary by exact keyword matching.
-
-    Case-insensitive; the longest vocabulary item found wins; N/A is
-    recognized for every task.  Region answers are split on commas/'and' and
-    matched per region name.  Returns None when nothing matches.
-    """
-    low = text.lower()
-    if task == "region":
-        if re.search(r"\bn/a\b", low):
-            return NOT_AVAILABLE
-        found = []
-        for fragment in _REGION_SPLIT_RE.split(low):
-            for name in REGION_NAMES:
-                if name in fragment and name not in found:
-                    found.append(name)
-        return found or None
-    if re.search(r"\bn/a\b", low):
-        return NOT_AVAILABLE
-    candidates = [v for v in _VOCAB_BY_TASK[task] if v.lower() in low]
-    if not candidates:
-        return None
-    return max(candidates, key=len)

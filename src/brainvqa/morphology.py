@@ -10,7 +10,8 @@ label split (no full grid): they get a dense index inside their bounding box
 padded by one voxel, the 13 half-neighborhood offsets list every adjacent
 voxel pair once, and the larger root of each disagreeing pair is hooked onto
 the smaller (``np.minimum.at``) with pointer jumping in between until every
-pair agrees (Shiloach & Vishkin 1982).
+pair agrees (Shiloach & Vishkin 1982).  A labeling is ragged: all voxels in
+one array grouped by component, and the components' voxel counts.
 """
 from __future__ import annotations
 
@@ -40,36 +41,38 @@ _HALF_OFFSETS = [
 class ComponentLabeling:
     """Partition of a voxel set into 26-connected components.
 
-    ``component_coords[i]`` is the (n_i, 3) voxel index array of the component
-    at list index ``i``, its voxels in input order.
+    ``coords`` is the (n, 3) int64 voxel index array of all components, one
+    after another in component order, each one's voxels in input order;
+    ``sizes[i]`` (int64) is the voxel count of component ``i``.
     """
 
-    component_voxels: list[int]
-    component_volumes: list[float]
-    component_coords: list[np.ndarray]
+    coords: np.ndarray
+    sizes: np.ndarray
     voxel_volume_mm3: float
 
     @property
     def n_components(self) -> int:
-        return len(self.component_voxels)
+        return len(self.sizes)
 
     @property
     def total_voxels(self) -> int:
-        return int(sum(self.component_voxels))
+        return int(self.sizes.sum())
 
     @property
     def total_volume(self) -> float:
-        return float(sum(self.component_volumes))
-
-    @property
-    def core_index(self) -> int:
-        return 0
+        return float(sum(size * self.voxel_volume_mm3 for size in self.sizes.tolist()))
 
     @property
     def core_fraction(self) -> float:
-        if not self.component_volumes:
+        if not self.n_components:
             return 0.0
-        return self.component_volumes[0] / self.total_volume
+        return int(self.sizes[0]) * self.voxel_volume_mm3 / self.total_volume
+
+    @property
+    def core_dominates(self) -> bool:
+        """The core (component 0) alone stands for the label: it is the only
+        component or holds at least 70% of the volume."""
+        return self.n_components == 1 or self.core_fraction >= CORE_FRACTION_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def connected_components(
     dv = float(spacing[0] * spacing[1] * spacing[2])
     n = coords.shape[0]
     if n == 0:
-        return ComponentLabeling([], [], [], dv)
+        return ComponentLabeling(coords, np.zeros(0, dtype=np.int64), dv)
 
     # Dense voxel index over the bounding box padded by one voxel, so every
     # neighbor lookup stays inside the box; -1 marks background.
@@ -133,11 +136,8 @@ def connected_components(
     order = np.lexsort((first, -sizes))
     new_id = np.argsort(order)[comp]
 
-    sizes = sizes[order]
     members = coords[np.argsort(new_id, kind="stable")]
-    coord_lists = np.split(members, np.cumsum(sizes)[:-1])
-    voxels = sizes.tolist()
-    return ComponentLabeling(voxels, [v * dv for v in voxels], coord_lists, dv)
+    return ComponentLabeling(members, sizes[order].astype(np.int64), dv)
 
 
 def spread_classify(labeling: ComponentLabeling) -> SpreadDescriptor:
@@ -150,11 +150,10 @@ def spread_classify(labeling: ComponentLabeling) -> SpreadDescriptor:
     n = labeling.n_components
     if n == 0:
         return SpreadDescriptor(NOT_AVAILABLE, 0.0, 0)
-    f_core = labeling.core_fraction
     if n == 1:
         category = SPREAD_SINGLE
-    elif f_core >= CORE_FRACTION_THRESHOLD:
+    elif labeling.core_dominates:
         category = SPREAD_CORE_SATELLITES
     else:
         category = SPREAD_SCATTERED
-    return SpreadDescriptor(category, f_core, n)
+    return SpreadDescriptor(category, labeling.core_fraction, n)

@@ -1,5 +1,8 @@
 """Descriptor computation, the 4+1+1 sampling protocol, splits, and stats.
 
+A study's descriptors come from one label split of its mask, one component
+labeling per label, and one shape-metrics call for all of them.
+
 Every (study, label) pair yields exactly six records: four multitask
 templates drawn without replacement whose task sets jointly cover all four
 tasks, one partially out-of-scope template, and one completely out-of-scope
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BankError, GeometryError
-from .hull import voxel_hull_volumes
 from .morphology import (
     NOT_AVAILABLE,
     SPREAD_CORE_SATELLITES,
@@ -37,15 +39,18 @@ from .regions import (
     volume_bin,
 )
 from .rng import stream
-from .shape import SHAPE_CATEGORIES, ShapeMetrics, describe_shape, shape_components
+from .shape import (
+    SHAPE_CATEGORIES,
+    ShapeMetrics,
+    component_shape_metrics,
+    describe_shape,
+    shape_components,
+)
 from .templates import TASKS, UNSPECIFIED, Template, TemplateBank, descriptor_values, render
 
 SCHEMA_VERSION = 1
 
-SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.8, 0.1)  # test takes the remainder
-
-RECORDS_PER_LABEL = 6  # 4 multitask + 1 partial out-of-scope + 1 full out-of-scope
 
 
 @dataclass
@@ -92,7 +97,7 @@ def compute_descriptors(
 
     ``brain_voxels`` counts the brain on the mask's grid; the atlas must
     already be conformed onto that grid.  Every stage takes a label's voxel
-    coordinates from one split of the mask, and one hull call serves the
+    coordinates from one split of the mask, and one metrics call serves the
     components that every label's shape reads; a label with zero voxels
     yields the all-N/A descriptor rather than an error.
     """
@@ -104,9 +109,12 @@ def compute_descriptors(
     labels = sorted(mask.label_names)
     labelings = [connected_components(split[label], spacing) for label in labels]
     measured = [shape_components(labeling) for labeling in labelings]
-    hulls = iter(voxel_hull_volumes([c for comps in measured for c in comps], spacing))
+    ends = np.cumsum([len(sizes) for _, sizes in measured]).tolist()
+    per_component = []
+    if ends and ends[-1]:
+        per_component = component_shape_metrics(*map(np.concatenate, zip(*measured)), spacing)
     out = []
-    for label, labeling, comps in zip(labels, labelings, measured):
+    for label, labeling, start, end in zip(labels, labelings, [0] + ends, ends):
         name = mask.label_names[label]
         coords = split[label]
         if coords.shape[0] == 0:
@@ -115,7 +123,7 @@ def compute_descriptors(
         vb = volume_bin(relative_volume(coords.shape[0], brain_voxels))
         assignment = region_overlap(coords, atlas, min_overlap_voxels)
         spread = spread_classify(labeling)
-        category, agg = describe_shape(labeling, spacing, [next(hulls) for _ in comps])
+        category, agg = describe_shape(labeling, per_component[start:end])
         warnings = ["volume fraction above 75%, clamped"] if vb.clamped else []
         out.append(
             TaskDescriptors(

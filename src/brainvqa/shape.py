@@ -2,18 +2,20 @@
 
 Metrics per component: voxel volume, marching-cubes surface area, sphericity,
 compactness (area/volume), principal-axis elongation and flatness, and
-convex-hull solidity.  :func:`component_shape_metrics` computes them for all
-components of a label at once, and builds no mesh or float hull.  The area is
+convex-hull solidity.  :func:`component_shape_metrics` computes them for
+every component of a ragged set (all voxels in one array, grouped by
+component, and the components' sizes, as a :class:`ComponentLabeling` holds
+them) in one pass, and builds no mesh or float hull.  The area is
 ``math.fsum`` of each component's marching-cubes case counts times each
 case's area, from one case pass over all components' crops laid side by side
 (``surface._component_areas``).  The hull volume is exact on the doubled
-voxel-corner lattice (:func:`hull.voxel_hull_volumes`).  The eigenvalues come
-from one stacked ``eigvalsh``; only the 3x3 covariance is formed per
-component, by the same float expression as for a component alone.
-Aggregation keeps the core component's metrics when it dominates (and only
-the core's are then computed), otherwise averages; the category comes from
-fixed sphericity and elongation thresholds with a small-volume "focus"
-override.
+voxel-corner lattice (one :func:`hull.voxel_hull_volumes` call).  The
+eigenvalues come from one stacked ``eigvalsh``; only the 3x3 covariance is
+formed per component, by the same float expression as for a component alone.
+A label's shape reads :func:`shape_components`: the core alone when it
+dominates (``ComponentLabeling.core_dominates``), else every component; the
+aggregate is the mean of their metrics, and the category comes from fixed
+sphericity and elongation thresholds with a small-volume "focus" override.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .hull import voxel_hull_volumes
-from .morphology import CORE_FRACTION_THRESHOLD, NOT_AVAILABLE, ComponentLabeling
+from .morphology import NOT_AVAILABLE, ComponentLabeling
 from .surface import _component_areas
 
 SHAPE_FOCUS = "focus"
@@ -85,30 +87,26 @@ def _eigenvalues(coords: np.ndarray, sizes: np.ndarray, spacing: np.ndarray) -> 
 
 
 def component_shape_metrics(
-    coords_list: list[np.ndarray],
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    hull_volumes: list[float] | None = None,
+    coords: np.ndarray, sizes: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> list[ShapeMetrics]:
     """All shape metrics of each of several components given their voxel coords.
 
-    Each component's metrics are those it has on its own, wherever the others
-    lie.  ``hull_volumes`` are the exact hull volumes of their corners,
-    computed here when not given.  A single voxel takes the same path (its
-    surface is the octahedron, its hull the cube).
+    ``coords`` holds the components' voxels one after another, ``sizes[i]``
+    rows each.  Each component's metrics are those it has on its own,
+    wherever the others lie.  A single voxel takes the same path (its surface
+    is the octahedron, its hull the cube).
     """
-    coords_list = [np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in coords_list]
-    if not coords_list or min(map(len, coords_list)) == 0:
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if not len(sizes) or sizes.min() == 0:
         raise GeometryError("cannot compute shape metrics of an empty component")
     spacing = tuple(float(s) for s in spacing)
     dv = spacing[0] * spacing[1] * spacing[2]
-    sizes = np.array([len(c) for c in coords_list])
-    coords = np.concatenate(coords_list)
+    hull_volumes = voxel_hull_volumes(coords, sizes, spacing)
     areas = _component_areas(coords, sizes, spacing)
     lam = _eigenvalues(coords, sizes, np.asarray(spacing))
     elongation = np.sqrt(lam[:, 0] / lam[:, 1]).tolist()
     flatness = np.sqrt(lam[:, 2] / lam[:, 1]).tolist()
-    if hull_volumes is None:
-        hull_volumes = voxel_hull_volumes(coords_list, spacing)
 
     out = []
     for n, area, hull_volume, eig, e, f in zip(
@@ -128,38 +126,21 @@ def component_shape_metrics(
 
 
 def shape_metrics(
-    coords: np.ndarray,
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    hull_volume: float | None = None,
+    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> ShapeMetrics:
     """All shape metrics of one connected component given its voxel coords."""
-    hulls = None if hull_volume is None else [hull_volume]
-    return component_shape_metrics([coords], spacing, hulls)[0]
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    return component_shape_metrics(coords, [len(coords)], spacing)[0]
 
 
-def _core_dominates(f_core: float, n_components: int) -> bool:
-    return n_components == 1 or f_core >= CORE_FRACTION_THRESHOLD
-
-
-def aggregate_metrics(
-    per_component: list[ShapeMetrics], f_core: float, n_components: int
-) -> ShapeMetrics:
-    """Core component's metrics when it dominates, else the unweighted mean.
-
-    The core is dominant when it is the only component or holds at least 70%
-    of the total volume; component 0 is the core by the labeling order.
-    """
+def aggregate_metrics(per_component: list[ShapeMetrics]) -> ShapeMetrics:
+    """Field-wise unweighted mean; the mean of one component is that component."""
     if not per_component:
         raise GeometryError("aggregate_metrics needs at least one component")
-    if _core_dominates(f_core, n_components):
-        return per_component[0]
     values = {}
     for f in fields(ShapeMetrics):
-        column = [getattr(m, f.name) for m in per_component]
-        if f.name == "eigenvalues":
-            values[f.name] = tuple(np.mean(column, axis=0))
-        else:
-            values[f.name] = float(np.mean(column))
+        mean = np.mean([getattr(m, f.name) for m in per_component], axis=0).tolist()
+        values[f.name] = tuple(mean) if f.name == "eigenvalues" else mean
     return ShapeMetrics(**values)
 
 
@@ -177,26 +158,23 @@ def shape_classify(agg: ShapeMetrics, total_volume_mm3: float) -> str:
     return SHAPE_IRREGULAR
 
 
-def shape_components(labeling: ComponentLabeling) -> list[np.ndarray]:
-    """The components whose metrics the aggregate reads: the core alone when
-    it dominates, else all of them."""
-    coords = labeling.component_coords
-    return coords[:1] if _core_dominates(labeling.core_fraction, labeling.n_components) else coords
+def shape_components(labeling: ComponentLabeling) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(coords, sizes)`` prefix of the components whose metrics the
+    aggregate reads: the core alone when it dominates, else all of them."""
+    if labeling.core_dominates:
+        return labeling.coords[:labeling.sizes[0]], labeling.sizes[:1]
+    return labeling.coords, labeling.sizes
 
 
 def describe_shape(
-    labeling: ComponentLabeling,
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    hull_volumes: list[float] | None = None,
+    labeling: ComponentLabeling, per_component: list[ShapeMetrics]
 ) -> tuple[str, ShapeMetrics | None]:
     """Category plus aggregated metrics for a labeled mask (N/A when empty).
 
-    Metrics are computed in one call for :func:`shape_components`;
-    ``hull_volumes``, one per component of that list, default to one hull
-    call over them.
+    ``per_component`` are the metrics of :func:`shape_components` of the
+    labeling, in its order.
     """
     if labeling.n_components == 0:
         return NOT_AVAILABLE, None
-    per_component = component_shape_metrics(shape_components(labeling), spacing, hull_volumes)
-    agg = aggregate_metrics(per_component, labeling.core_fraction, labeling.n_components)
+    agg = aggregate_metrics(per_component)
     return shape_classify(agg, labeling.total_volume), agg

@@ -10,6 +10,9 @@ float hull volume of a point cloud or of a voxel set's corners.
 ``reference_shape_metrics`` is the one-component-at-a-time shape metrics
 oracle: a bounding-box crop, its full case grid, and one ``eigvalsh`` per
 component.  ``shape.component_shape_metrics`` must equal it field for field.
+``ragged`` and ``split_components`` convert between a list of per-component
+voxel arrays and the ragged ``(coords, sizes)`` pair the library takes, and
+``describe`` runs ``shape.describe_shape`` on a labeling's measured components.
 
 Two float quickhulls are the hull oracles.  ``float_quickhull`` is array
 code with unit normals and an ``eps`` relative to the coordinate scale, one
@@ -28,9 +31,32 @@ import numpy as np
 from brainvqa.errors import DegenerateHullError, GeometryError
 from brainvqa.hull import _CORNER_SIGNS, _cross, voxel_hull_volumes
 from brainvqa.mc_tables import TRI_TABLE
+from brainvqa.morphology import ComponentLabeling
 from brainvqa.nifti import VolumeHeader
-from brainvqa.shape import ShapeMetrics
+from brainvqa.shape import ShapeMetrics, component_shape_metrics, describe_shape, shape_components
 from brainvqa.surface import SurfaceMesh, _cell_cases, case_area, triangle_areas
+
+
+def ragged(components: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One (n, 3) int64 array of the components' voxels, one after another,
+    and their int64 sizes."""
+    components = [np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in components]
+    sizes = np.array([len(c) for c in components], dtype=np.int64)
+    return np.concatenate([np.zeros((0, 3), dtype=np.int64)] + components), sizes
+
+
+def split_components(coords: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """The per-component voxel arrays of a ragged pair."""
+    return np.split(coords, np.cumsum(sizes)[:-1]) if len(sizes) else []
+
+
+def describe(
+    labeling: ComponentLabeling, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+) -> tuple[str, ShapeMetrics | None]:
+    """``describe_shape`` of a labeling, with the metrics of its shape components."""
+    measured = shape_components(labeling)
+    per_component = component_shape_metrics(*measured, spacing) if len(measured[1]) else []
+    return describe_shape(labeling, per_component)
 
 
 def voxel_volume(header: VolumeHeader) -> float:
@@ -156,9 +182,7 @@ def crop_surface_area(mask: np.ndarray, spacing: tuple[float, float, float]) -> 
 
 
 def reference_shape_metrics(
-    coords: np.ndarray,
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    hull_volume: float | None = None,
+    coords: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> ShapeMetrics:
     """All shape metrics of one connected component, from its own crop."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
@@ -179,8 +203,7 @@ def reference_shape_metrics(
     elongation = float(np.sqrt(lam[0] / lam[1]))
     flatness = float(np.sqrt(lam[2] / lam[1]))
 
-    if hull_volume is None:
-        hull_volume = voxel_hull_volumes([coords], spacing)[0]
+    (hull_volume,) = voxel_hull_volumes(coords, [len(coords)], spacing)
     sphericity = float(np.pi ** (1.0 / 3.0) * (6.0 * volume) ** (2.0 / 3.0) / area)
     return ShapeMetrics(
         volume=volume,

@@ -43,7 +43,7 @@ from brainvqa.qagen import (
 from brainvqa.regions import RegionAssignment, VolumeBin
 from brainvqa.morphology import SpreadDescriptor
 from brainvqa.rng import stream
-from brainvqa.shape import describe_shape, shape_metrics
+from brainvqa.shape import shape_metrics
 from brainvqa.surface import marching_cubes
 from brainvqa.templates import TASKS, UNSPECIFIED, default_bank
 from brainvqa.training import (
@@ -54,7 +54,7 @@ from brainvqa.training import (
     train_toy,
 )
 from conftest import digitized_ellipsoid, digitized_sphere, random_blob
-from geometry_helpers import convex_hull_volume, is_closed, mesh_area, voxel_corner_points
+from geometry_helpers import convex_hull_volume, describe, is_closed, mesh_area, voxel_corner_points
 from test_morphology import bfs_components, partition_of
 
 
@@ -129,12 +129,12 @@ def test_criterion_02_protocol_coverage():
 def test_criterion_03_geometry_categories():
     started = time.time()
     sphere = digitized_sphere(10)
-    category, agg = describe_shape(connected_components(np.argwhere(sphere)))
+    category, agg = describe(connected_components(np.argwhere(sphere)))
     assert category == "round", f"sphere classified {category}"
     assert agg.elongation <= 1.05
 
     ellipsoid = digitized_ellipsoid((30, 8, 8))
-    category_e, agg_e = describe_shape(connected_components(np.argwhere(ellipsoid)))
+    category_e, agg_e = describe(connected_components(np.argwhere(ellipsoid)))
     assert abs(agg_e.elongation - 3.75) / 3.75 <= 0.10, agg_e.elongation
     assert category_e == "elongated"
 

@@ -3,12 +3,13 @@ from __future__ import annotations
 import itertools
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from brainvqa import cli
+from brainvqa import cli, hull, qagen
 from brainvqa.cli import EXIT_NUMERIC, main
 from brainvqa.moe import init_moe_params, save_checkpoint
 from brainvqa.nifti import LabelMask, Volume3D, conform_to_ras, read_nifti_file, write_nifti_file
@@ -124,6 +125,27 @@ def scatter_fixture_dir(tmp_path_factory) -> Path:
     return root
 
 
+@pytest.fixture
+def geometry_calls(monkeypatch) -> Counter:
+    """Counts the calls of ``component_shape_metrics`` by ``compute_descriptors``
+    and of ``hull.quickhull``, and the components measured in total."""
+    calls = Counter()
+    metrics, quickhull = qagen.component_shape_metrics, hull.quickhull
+
+    def counted_metrics(coords, sizes, spacing):
+        calls["component_shape_metrics"] += 1
+        calls["components"] += len(sizes)
+        return metrics(coords, sizes, spacing)
+
+    def counted_quickhull(points, group):
+        calls["quickhull"] += 1
+        return quickhull(points, group)
+
+    monkeypatch.setattr(qagen, "component_shape_metrics", counted_metrics)
+    monkeypatch.setattr(hull, "quickhull", counted_quickhull)
+    return calls
+
+
 def describe_args(root: Path, out: Path, workers: int = 1) -> list[str]:
     return [
         "describe",
@@ -170,6 +192,37 @@ class TestDescribe:
             alone = np.all([n != seg for n in neighbours], axis=0)
             assert (lesion & other_label).any(), study
             assert (lesion & alone).sum() >= 4, study
+
+    def test_one_metrics_pass_and_one_hull_per_study(
+            self, scatter_fixture_dir, tmp_path, geometry_calls):
+        """Every label's measured components share one metrics call per study:
+        the core of a dominant-core label, every component of the others."""
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(scatter_fixture_dir, out)) == 0
+        assert out.read_text() == GOLDEN_SCATTER.read_text()
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        measured = sum(1 if r["spread"] == "core with satellite lesions" else r["n_components"]
+                       for r in rows)
+        assert geometry_calls == {"component_shape_metrics": 2, "quickhull": 2,
+                                  "components": measured}
+
+    def test_study_without_lesions_needs_no_geometry(self, fixture_dir, tmp_path, geometry_calls):
+        root = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, root)
+        for study in sorted((root / "studies").iterdir())[1:]:
+            shutil.rmtree(study)
+        path = root / "studies" / "study_0000" / "seg.nii.gz"
+        seg = read_nifti_file(path)
+        write_nifti_file(Volume3D.from_array(np.zeros_like(seg.data), seg.header.pixdim,
+                                             seg.header.affine), path)
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(root, out)) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 4
+        for r in rows:
+            assert (r["volume_bin"], r["regions"], r["shape"], r["spread"]) == ("N/A",) * 4
+            assert (r["n_components"], r["shape_metrics"]) == (0, None)
+        assert geometry_calls == {}
 
     def test_canonical_sums_move_only_their_fields(self):
         """Against the float-sum descriptors: four fields within 1e-12, the rest identical."""

@@ -7,7 +7,7 @@ references that ``connected_components`` and ``marching_cubes`` must
 reproduce exactly: the same labels, ordering, coordinate arrays, vertices and
 triangle numbering.  ``union_find_components`` also returns its component id
 grid (0 for background, ``i + 1`` for component ``i``), which the grid rebuilt
-from ``component_coords`` must equal.
+from the labeling's ragged ``coords`` and ``sizes`` must equal.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from brainvqa.errors import GeometryError
 from brainvqa.mc_tables import TRI_TABLE
 from brainvqa.morphology import ComponentLabeling, connected_components
 from brainvqa.surface import CORNER_OFFSETS, EDGE_CORNERS, ISO_LEVEL, SurfaceMesh, marching_cubes
+from geometry_helpers import ragged, split_components
 
 HALF_OFFSETS = [
     (dx, dy, dz)
@@ -60,7 +61,7 @@ def union_find_components(
     coords = np.argwhere(fg)
     labeling = np.zeros(mask.shape, dtype=np.int32)
     if coords.shape[0] == 0:
-        return ComponentLabeling([], [], [], dv), labeling
+        return ComponentLabeling(*ragged([]), dv), labeling
 
     index = np.full(mask.shape, -1, dtype=np.int64)
     index[fg] = np.arange(coords.shape[0])
@@ -85,14 +86,12 @@ def union_find_components(
         order_keys[root] = (-int(members.sum()), int(linear[members].min()))
     ordered_roots = sorted(order_keys, key=order_keys.get)
 
-    voxels, volumes, coord_lists = [], [], []
+    coord_lists = []
     for new_id, root in enumerate(ordered_roots, start=1):
         members = coords[roots == root]
         labeling[members[:, 0], members[:, 1], members[:, 2]] = new_id
-        voxels.append(members.shape[0])
-        volumes.append(members.shape[0] * dv)
         coord_lists.append(members)
-    return ComponentLabeling(voxels, volumes, coord_lists, dv), labeling
+    return ComponentLabeling(*ragged(coord_lists), dv), labeling
 
 
 EDGE_GLOBAL = []
@@ -152,17 +151,16 @@ def assert_same_labeling(
     got: ComponentLabeling, want: ComponentLabeling, want_ids: np.ndarray
 ) -> None:
     ids = np.zeros(want_ids.shape, dtype=np.int32)
-    for i, coords in enumerate(got.component_coords):
+    for i, coords in enumerate(split_components(got.coords, got.sizes)):
         ids[tuple(coords.T)] = i + 1
     assert np.array_equal(ids, want_ids)
-    assert got.component_voxels == want.component_voxels
-    assert [type(v) for v in got.component_voxels] == [type(v) for v in want.component_voxels]
-    assert got.component_volumes == want.component_volumes
+    assert got.sizes.dtype == want.sizes.dtype == np.int64
+    assert np.array_equal(got.sizes, want.sizes)
     assert got.voxel_volume_mm3 == want.voxel_volume_mm3
-    assert len(got.component_coords) == len(want.component_coords)
-    for a, b in zip(got.component_coords, want.component_coords):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
+    assert got.total_volume == want.total_volume
+    assert got.core_fraction == want.core_fraction
+    assert got.coords.dtype == want.coords.dtype and got.coords.shape == want.coords.shape
+    assert np.array_equal(got.coords, want.coords)
 
 
 def assert_same_mesh(mask: np.ndarray, spacing) -> None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from brainvqa.errors import DegenerateHullError
 from brainvqa.hull import _corner_candidates, quickhull, voxel_hull_volumes
 from conftest import random_blob
-from geometry_helpers import float_quickhull, reference_quickhull, voxel_corner_points
+from geometry_helpers import float_quickhull, ragged, reference_quickhull, voxel_corner_points
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
 
@@ -69,7 +69,7 @@ def check_voxel_hull(coords: np.ndarray, spacing) -> None:
     assert sixfold == sixfold_volume(ref_faces, ref_pts)
 
     sx, sy, sz = spacing
-    (volume,) = voxel_hull_volumes([coords], spacing)
+    (volume,) = voxel_hull_volumes(coords, [len(coords)], spacing)
     assert volume == sixfold * (sx * sy * sz) / 48.0
     oracle = scipy_spatial.ConvexHull(voxel_corner_points(coords, spacing))
     assert volume == pytest.approx(oracle.volume, rel=1e-10)
@@ -184,11 +184,12 @@ class TestLockstepBatches:
             ref_faces, ref_pts, _ = reference_quickhull(doubled_corners(coords))
             assert sixfold_volume(own, points) == sixfold_volume(ref_faces, ref_pts)
 
-        volumes = voxel_hull_volumes(batch)
-        assert volumes == [voxel_hull_volumes([coords])[0] for coords in batch]
+        volumes = voxel_hull_volumes(*ragged(batch))
+        assert volumes == [voxel_hull_volumes(*ragged([coords]))[0] for coords in batch]
         order = list(range(len(batch)))
         rnd.shuffle(order)
-        assert voxel_hull_volumes([batch[k] for k in order]) == [volumes[k] for k in order]
+        shuffled = ragged([batch[k] for k in order])
+        assert voxel_hull_volumes(*shuffled) == [volumes[k] for k in order]
 
     @pytest.mark.parametrize(
         "flat",
@@ -210,7 +211,7 @@ class TestLockstepBatches:
 def check_closed_form(coords: np.ndarray, spacing, voxel_units: int) -> None:
     """Hull volume of ``voxel_units`` voxel volumes: exactly, and as scipy's to 1e-10."""
     sx, sy, sz = spacing
-    (volume,) = voxel_hull_volumes([coords], spacing)
+    (volume,) = voxel_hull_volumes(coords, [len(coords)], spacing)
     assert volume == 48 * voxel_units * (sx * sy * sz) / 48.0
     oracle = scipy_spatial.ConvexHull(voxel_corner_points(coords, spacing))
     assert volume == pytest.approx(oracle.volume, rel=1e-10)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from brainvqa.metrics import (
     heatmap_to_csv,
     _percent,
     _scores,
-    normalize_answer,
     routing_heatmap,
 )
+from brainvqa.morphology import NOT_AVAILABLE
 from brainvqa.qagen import SPREAD_CATEGORIES, DatasetRecord, generate_dataset
 from brainvqa.regions import REGION_NAMES, VOLUME_BINS
 from brainvqa.shape import SHAPE_CATEGORIES
@@ -38,6 +39,43 @@ def region_accuracy(preds: list, golds: list) -> float | None:
     """Mean per-label correctness per record, macro-averaged over records."""
     included, credit = _scores(preds, golds, region=True)
     return _percent(credit[included])
+
+
+# Free-text answer normalization (deterministic keyword matcher).  No command
+# reads free-text answers: predictions carry vocabulary values.
+
+_VOCAB_BY_TASK = {
+    "volume": VOLUME_BINS,
+    "shape": SHAPE_CATEGORIES,
+    "spread": SPREAD_CATEGORIES,
+}
+
+_REGION_SPLIT_RE = re.compile(r",|\band\b")
+
+
+def normalize_answer(text: str, task: str):
+    """Map free text onto a task vocabulary by exact keyword matching.
+
+    Case-insensitive; the longest vocabulary item found wins; N/A is
+    recognized for every task.  Region answers are split on commas/'and' and
+    matched per region name.  Returns None when nothing matches.
+    """
+    low = text.lower()
+    if task == "region":
+        if re.search(r"\bn/a\b", low):
+            return NOT_AVAILABLE
+        found = []
+        for fragment in _REGION_SPLIT_RE.split(low):
+            for name in REGION_NAMES:
+                if name in fragment and name not in found:
+                    found.append(name)
+        return found or None
+    if re.search(r"\bn/a\b", low):
+        return NOT_AVAILABLE
+    candidates = [v for v in _VOCAB_BY_TASK[task] if v.lower() in low]
+    if not candidates:
+        return None
+    return max(candidates, key=len)
 
 
 def hits(*values):

@@ -15,6 +15,7 @@ from brainvqa.morphology import (
     spread_classify,
 )
 from conftest import random_blob
+from geometry_helpers import split_components
 
 
 def bfs_components(mask: np.ndarray) -> list[set[tuple[int, int, int]]]:
@@ -49,7 +50,8 @@ def bfs_components(mask: np.ndarray) -> list[set[tuple[int, int, int]]]:
 
 
 def partition_of(labeling: ComponentLabeling) -> set[frozenset]:
-    return {frozenset(map(tuple, coords)) for coords in labeling.component_coords}
+    return {frozenset(map(tuple, coords))
+            for coords in split_components(labeling.coords, labeling.sizes)}
 
 
 class TestConnectedComponents:
@@ -59,7 +61,8 @@ class TestConnectedComponents:
         lab = connected_components(np.argwhere(m))
         assert lab.n_components == 1
         assert lab.core_fraction == 1.0
-        assert lab.component_voxels == [1]
+        assert lab.sizes.dtype == np.int64 and lab.sizes.tolist() == [1]
+        assert lab.coords.dtype == np.int64 and lab.coords.tolist() == [[2, 2, 2]]
 
     def test_diagonal_voxels_are_connected(self):
         m = np.zeros((4, 4, 4))
@@ -73,7 +76,8 @@ class TestConnectedComponents:
         m[2, 2, 2] = 1
         lab = connected_components(np.argwhere(m))
         assert lab.n_components == 2
-        assert lab.component_volumes == [1.0, 1.0]
+        assert lab.sizes.tolist() == [1, 1] and lab.voxel_volume_mm3 == 1.0
+        assert lab.total_volume == 2.0
         assert lab.core_fraction == pytest.approx(0.5)
         assert partition_of(lab) == {p for p in map(frozenset, bfs_components(m))}
 
@@ -81,6 +85,8 @@ class TestConnectedComponents:
         lab = connected_components(np.argwhere(np.zeros((3, 3, 3))))
         assert lab.n_components == 0
         assert lab.total_voxels == 0
+        assert lab.coords.shape == (0, 3) and lab.coords.dtype == np.int64
+        assert lab.sizes.shape == (0,) and lab.sizes.dtype == np.int64
 
     def test_ordering_decreasing_size_then_first_voxel(self):
         m = np.zeros((12, 4, 4))
@@ -88,10 +94,8 @@ class TestConnectedComponents:
         m[0, 0, 0] = 1  # singleton, earliest linear index
         m[3, 3, 3] = 1  # singleton, later linear index
         lab = connected_components(np.argwhere(m))
-        assert lab.component_voxels == [3, 1, 1]
-        assert tuple(lab.component_coords[1][0]) == (0, 0, 0)
-        assert tuple(lab.component_coords[2][0]) == (3, 3, 3)
-        assert lab.core_index == 0
+        assert lab.sizes.tolist() == [3, 1, 1]
+        assert lab.coords.tolist() == [[6, 0, 0], [7, 0, 0], [8, 0, 0], [0, 0, 0], [3, 3, 3]]
 
     def test_matches_bfs_oracle_on_random_masks(self):
         for seed in range(40):
@@ -124,7 +128,8 @@ class TestConnectedComponents:
         m = np.zeros((4, 4, 4))
         m[0:2, 0, 0] = 1
         lab = connected_components(np.argwhere(m), spacing=(2.0, 1.0, 0.5))
-        assert lab.component_volumes == [2.0]
+        assert lab.sizes.tolist() == [2] and lab.voxel_volume_mm3 == 1.0
+        assert lab.total_volume == 2.0
 
     def test_voxel_counts_sum(self):
         m = random_blob(7, dims=(12, 12, 12), density=0.4)
@@ -163,23 +168,25 @@ class TestSpreadClassify:
     @pytest.mark.parametrize("n_components", [1, 2, 5])
     @pytest.mark.parametrize("f_core", [0.69, 0.70, 0.71])
     def test_threshold_case_table(self, n_components, f_core):
+        sizes = _sizes(n_components, f_core)
         lab = ComponentLabeling(
-            component_voxels=[100] * n_components,
-            component_volumes=_volumes(n_components, f_core),
-            component_coords=[np.zeros((1, 3), dtype=np.int64)] * n_components,
+            coords=np.zeros((int(sizes.sum()), 3), dtype=np.int64),
+            sizes=sizes,
             voxel_volume_mm3=1.0,
         )
-        category = spread_classify(lab).category
+        desc = spread_classify(lab)
         if n_components == 1:
-            assert category == SPREAD_SINGLE
+            assert desc.category == SPREAD_SINGLE and lab.core_dominates
         elif f_core >= 0.7:
-            assert category == SPREAD_CORE_SATELLITES
+            assert desc.category == SPREAD_CORE_SATELLITES and lab.core_dominates
         else:
-            assert category == SPREAD_SCATTERED
+            assert desc.category == SPREAD_SCATTERED and not lab.core_dominates
+        assert desc.core_fraction == (1.0 if n_components == 1 else f_core)
 
 
-def _volumes(n: int, f_core: float) -> list[float]:
+def _sizes(n: int, f_core: float) -> np.ndarray:
+    """Voxel counts of n components, the core holding ``f_core`` of them."""
     if n == 1:
-        return [100.0]
-    rest = 100.0 * (1.0 - f_core) / (n - 1)
-    return [100.0 * f_core] + [rest] * (n - 1)
+        return np.array([100], dtype=np.int64)
+    rest = round(100 * (1.0 - f_core))
+    return np.array([round(100 * f_core) * (n - 1)] + [rest] * (n - 1), dtype=np.int64)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from brainvqa.errors import GeometryError
-from brainvqa.morphology import connected_components
+from brainvqa.morphology import ComponentLabeling, connected_components
 from brainvqa.shape import (
     SHAPE_ELONGATED,
     SHAPE_FOCUS,
@@ -19,12 +19,12 @@ from brainvqa.shape import (
     ShapeMetrics,
     aggregate_metrics,
     component_shape_metrics,
-    describe_shape,
     shape_classify,
+    shape_components,
     shape_metrics,
 )
 from conftest import digitized_ellipsoid, random_blob
-from geometry_helpers import pca_axes, reference_shape_metrics
+from geometry_helpers import describe, pca_axes, ragged, reference_shape_metrics, split_components
 
 SPACINGS = [(1.0, 1.0, 1.0), (1.0, 1.0, 1.3), (0.9, 1.1, 1.3)]
 
@@ -143,7 +143,7 @@ class TestShapeMetrics:
             lab = connected_components(np.argwhere(blob))
             if lab.n_components == 0:
                 continue
-            m = shape_metrics(lab.component_coords[0])
+            m = shape_metrics(lab.coords[:lab.sizes[0]])
             assert m.sphericity <= 1.05
             assert m.solidity <= 1.0 + 1e-6
 
@@ -159,28 +159,24 @@ class TestComponentShapeMetrics:
     @example(seg=SMALL_CASES, spacing=(1.0, 1.0, 1.0))
     def test_equals_one_component_at_a_time(self, seg, spacing):
         for label in np.unique(seg[seg > 0]):
-            components = connected_components(np.argwhere(seg == label), spacing).component_coords
-            batch = component_shape_metrics(components, spacing)
-            assert batch == [reference_shape_metrics(c, spacing) for c in components]
+            lab = connected_components(np.argwhere(seg == label), spacing)
+            batch = component_shape_metrics(lab.coords, lab.sizes, spacing)
+            assert batch == [reference_shape_metrics(c, spacing)
+                             for c in split_components(lab.coords, lab.sizes)]
 
     def test_small_cases_cover_their_branches(self):
-        sizes = [len(c) for label in (1, 2, 3)
-                 for c in connected_components(np.argwhere(SMALL_CASES == label)).component_coords]
+        sizes = [n for label in (1, 2, 3)
+                 for n in connected_components(np.argwhere(SMALL_CASES == label)).sizes.tolist()]
         assert min(sizes) == 1 and 2 in sizes and len(sizes) >= 8
         assert (SMALL_CASES[3, 4, 2], SMALL_CASES[2, 3, 2]) == (3, 0)  # rod and plate apart
         assert SMALL_CASES[2, 4, 2] == 3 and SMALL_CASES[2, 4, 3] == 2  # face contact
         assert SMALL_CASES[4, 3, 4] == 3 and SMALL_CASES[5, 4, 4] == 1  # edge contact
 
-    def test_given_hull_volumes_are_used(self):
-        coords = [np.array([[0, 0, 0]]), np.array([[5, 5, 5], [6, 5, 5]])]
-        m = component_shape_metrics(coords, (1.0, 1.0, 1.0), [4.0, 8.0])
-        assert [x.solidity for x in m] == [0.25, 0.25]
-
     def test_touching_and_overlapping_sets_keep_their_own_metrics(self):
         sets = [np.array([[0, 0, 0]]), np.array([[1, 1, 1], [2, 1, 1]]),
                 np.array([[1, 1, 1], [1, 2, 1], [1, 2, 2]])]
         spacing = (1.0, 1.0, 1.3)
-        assert component_shape_metrics(sets, spacing) == [
+        assert component_shape_metrics(*ragged(sets), spacing) == [
             reference_shape_metrics(c, spacing) for c in sets]
 
     def test_wide_crops_do_not_pad_narrow_ones(self):
@@ -190,43 +186,55 @@ class TestComponentShapeMetrics:
                 np.column_stack([np.full(400, 3), np.zeros(400, int), np.arange(400)])]
         singles = [np.array([[6 + 2 * i, 0, 0]]) for i in range(200)]
         components = rods + singles
+        coords, sizes = ragged(components)
         tracemalloc.start()
         try:
-            metrics = component_shape_metrics(components, (1.0, 1.0, 1.3), [1.0] * 202)
+            metrics = component_shape_metrics(coords, sizes, (1.0, 1.0, 1.3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        assert metrics == [reference_shape_metrics(c, (1.0, 1.0, 1.3), 1.0) for c in components]
+        assert metrics == [reference_shape_metrics(c, (1.0, 1.0, 1.3)) for c in components]
 
     @pytest.mark.parametrize("coords", [[], [np.zeros((0, 3), dtype=np.int64)]])
     def test_empty_input_is_refused(self, coords):
         with pytest.raises(GeometryError, match="empty"):
-            component_shape_metrics(coords)
+            component_shape_metrics(*ragged(coords))
+
+
+def two_components(core: int, satellite: int) -> ComponentLabeling:
+    """A labeling of a ``core``-voxel rod and a ``satellite``-voxel rod."""
+    coords, sizes = ragged([[(i, 0, 0) for i in range(core)],
+                            [(i, 5, 0) for i in range(satellite)]])
+    return ComponentLabeling(coords, sizes, 1.0)
 
 
 class TestAggregation:
     def test_single_component_identity(self):
         m = metrics_with(0.9, 1.2)
-        assert aggregate_metrics([m], f_core=1.0, n_components=1) is m
+        agg = aggregate_metrics([m])
+        assert agg == m
+        assert all(type(v) is float for v in (agg.volume, agg.sphericity, *agg.eigenvalues))
 
     def test_dominant_core_selected(self):
-        core = metrics_with(0.9, 1.0)
-        satellite = metrics_with(0.3, 3.0)
-        agg = aggregate_metrics([core, satellite], f_core=0.9, n_components=2)
-        assert agg.sphericity == 0.9
+        lab = two_components(90, 10)
+        assert lab.core_fraction == 0.9 and lab.core_dominates
+        coords, sizes = shape_components(lab)
+        assert sizes.tolist() == [90] and np.array_equal(coords, lab.coords[:90])
 
     def test_mean_branch(self):
-        agg = aggregate_metrics(
-            [metrics_with(0.8, 1.0), metrics_with(0.4, 2.0)], f_core=0.5, n_components=2
-        )
+        agg = aggregate_metrics([metrics_with(0.8, 1.0), metrics_with(0.4, 2.0)])
         assert agg.sphericity == pytest.approx(0.6)
         assert agg.elongation == pytest.approx(1.5)
+        lab = two_components(50, 50)
+        assert not lab.core_dominates
+        coords, sizes = shape_components(lab)
+        assert coords is lab.coords and sizes is lab.sizes
 
     def test_boundary_exactly_070_selects_core(self):
-        core = metrics_with(0.9, 1.0)
-        agg = aggregate_metrics([core, metrics_with(0.1, 1.0)], f_core=0.7, n_components=2)
-        assert agg.sphericity == 0.9
+        lab = two_components(70, 30)
+        assert lab.core_fraction == 0.7 and lab.core_dominates
+        assert shape_components(lab)[1].tolist() == [70]
 
 
 class TestClassifier:
@@ -281,17 +289,17 @@ class TestClassifier:
 class TestDescribeShape:
     def test_empty_labeling_is_na(self):
         lab = connected_components(np.argwhere(np.zeros((4, 4, 4))))
-        category, agg = describe_shape(lab)
+        category, agg = describe(lab)
         assert category == "N/A"
         assert agg is None
 
     def test_sphere_is_round(self, sphere10):
         lab = connected_components(np.argwhere(sphere10))
-        category, agg = describe_shape(lab)
+        category, agg = describe(lab)
         assert category == SHAPE_ROUND
         assert agg is not None
 
     def test_ellipsoid_is_elongated(self):
         lab = connected_components(np.argwhere(digitized_ellipsoid((30, 8, 8))))
-        category, _ = describe_shape(lab)
+        category, _ = describe(lab)
         assert category == SHAPE_ELONGATED

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import shutil
@@ -31,6 +32,21 @@ GOLDEN_OBLIQUE = Path(__file__).parent / "data" / "golden_descriptors_oblique.js
 # Many components per label (``scatter_fixture_dir``), captured while shape
 # metrics were still computed one component at a time.
 GOLDEN_SCATTER = Path(__file__).parent / "data" / "golden_descriptors_scatter.jsonl"
+# SHA-256 of the mesh, heatmap, moe-demo and moe-check outputs, captured while
+# parameter names were still a mapping class over the stacks and marching
+# cubes still interpolated on a float grid.
+PINNED_DIGESTS = Path(__file__).parent / "data" / "golden_output_digests.sha256"
+
+
+def pinned_digests(prefix: str = "") -> dict[str, str]:
+    """The pinned digests of the outputs whose names start with ``prefix``."""
+    rows = [line.split() for line in PINNED_DIGESTS.read_text().splitlines()
+            if not line.startswith("#")]
+    return {name: digest for digest, name in rows if name.startswith(prefix)}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture(scope="session")
@@ -175,6 +191,14 @@ class TestDescribe:
         out = tmp_path / "desc.jsonl"
         assert main(describe_args(scatter_fixture_dir, out, workers)) == 0
         assert out.read_text() == GOLDEN_SCATTER.read_text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mesh_out_matches_pinned_digests(self, fixture_dir, tmp_path, workers):
+        mesh_dir = tmp_path / "mesh"
+        assert main(describe_args(fixture_dir, tmp_path / "desc.jsonl", workers)
+                    + ["--mesh-out", str(mesh_dir)]) == 0
+        got = {f"mesh/{path.name}": sha256(path.read_bytes()) for path in mesh_dir.iterdir()}
+        assert got == pinned_digests("mesh/")
 
     def test_scatter_corpus_covers_its_cases(self, scatter_fixture_dir):
         """After the conform: at least 10 components per label, both averaging
@@ -510,6 +534,10 @@ class TestMoECommands:
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
 
+    def test_moe_check_stdout_matches_pinned_digest(self, capsys):
+        assert main(["moe-check", "--configs", "5", "--prompts", "200"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == pinned_digests()["moe-check.stdout"]
+
     def test_moe_check_nan_gradient_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "finite_difference_errors",
                             lambda model, batch, picks: {"a": 0.0, "b": float("nan")})
@@ -529,6 +557,19 @@ class TestMoECommands:
         losses = [float(l.split(",")[1]) for l in lines[1:]]
         assert losses[-1] < losses[0]
         assert ckpt.exists()
+
+    def test_moe_demo_matches_pinned_digests(self, tmp_path):
+        curve, ckpt = tmp_path / "curve.csv", tmp_path / "params.bvqm"
+        assert main(["moe-demo", "--steps", "50", "--out", str(curve),
+                     "--save-params", str(ckpt)]) == 0
+        pinned = pinned_digests()
+        assert sha256(curve.read_bytes()) == pinned["curve.csv"]
+        assert sha256(ckpt.read_bytes()) == pinned["params.bvqm"]
+
+    def test_heatmap_without_params_matches_pinned_digest(self, tmp_path):
+        out = tmp_path / "heatmap.csv"
+        assert main(["heatmap", "--out", str(out)]) == 0
+        assert sha256(out.read_bytes()) == pinned_digests()["heatmap.csv"]
 
     @pytest.mark.parametrize("keep", [6, 40, -3])
     def test_heatmap_truncated_params_exit_3(self, tmp_path, keep):

@@ -15,10 +15,11 @@ a weight per (modality, position).
 ``MoEParams`` stores the ``high.*`` router arrays and each expert kind stacked
 along a leading expert axis (``Wm`` is ``(N, N_m, d_T, d_I)``).  The batched
 forward and backward contract these stacks directly, all experts and both
-granularities at once.  ``MoEParams.arrays`` names the same memory:
-``expert{n}.{kind}`` is the view ``stacks[kind][n]``, so edits by name write
-through.  Gradients are hand-derived, stacked like the parameters, and checked
-against central finite differences in the test suite.  The backward returns
+granularities at once.  ``MoEParams.arrays`` is a plain dict over the same
+memory (:func:`named_arrays`): ``expert{n}.{kind}`` is the view
+``stacks[kind][n]``, so edits by name write through.  Gradients are
+hand-derived, returned as a dict laid out like the stacks, and checked against
+central finite differences in the test suite.  The backward returns
 parameter gradients only: the image tokens and the prompt embedding are fixed
 inputs (no command trains them), so dL/d(v, cls, t) is never formed.  All math
 is float64.
@@ -44,7 +45,6 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +62,6 @@ _SIZES = ("n_experts", "n_modalities", "d_image", "d_text", "hidden")
 
 # Per-expert parameter kinds; expert n's arrays are named ``expert{n}.{kind}``.
 _EXPERT_KINDS = ("low.W1", "low.b1", "low.W2", "low.b2", "Wm", "bm", "Ws", "bs")
-_EXPERT_NAME = re.compile(r"expert(0|[1-9][0-9]*)\.(.+)")
 
 
 @dataclass
@@ -85,38 +84,20 @@ class MoEConfig:
             raise ConfigError(f"unknown granularity tags {sorted(bad)}")
 
 
-class NameView(Mapping):
-    """Names over stacked arrays: ``expert{n}.{kind}`` is ``stacks[kind][n]`` for an
-    expert kind, any other key is its own name.  Edits by name write into the stacks."""
-
-    def __init__(self, n_experts: int, stacks: dict[str, np.ndarray]):
-        self.n_experts, self.stacks = n_experts, stacks
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        match = _EXPERT_NAME.fullmatch(name)
-        if match and match[2] in _EXPERT_KINDS and int(match[1]) < self.n_experts:
-            return self.stacks[match[2]][int(match[1])]
-        if name in _EXPERT_KINDS:
-            raise KeyError(name)
-        return self.stacks[name]
-
-    def __setitem__(self, name: str, value) -> None:
-        self[name][...] = value
-
-    def __iter__(self):
-        yield from (key for key in self.stacks if key not in _EXPERT_KINDS)
-        for n in range(self.n_experts):
-            yield from (f"expert{n}.{kind}" for kind in _EXPERT_KINDS)
-
-    def __len__(self) -> int:
-        return len(self.stacks) + (self.n_experts - 1) * len(_EXPERT_KINDS)
+def named_arrays(n_experts: int, stacks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every array of ``stacks`` by name: ``expert{n}.{kind}`` is the view
+    ``stacks[kind][n]`` of an expert kind, any other key is its own array."""
+    named = {key: arr for key, arr in stacks.items() if key not in _EXPERT_KINDS}
+    for n in range(n_experts):
+        named.update((f"expert{n}.{kind}", stacks[kind][n]) for kind in _EXPERT_KINDS)
+    return named
 
 
 class MoEParams:
     """Parameters stored as :func:`_stack_layout`; built from names and shapes that
     must be exactly :func:`_param_layout`'s, else :class:`FormatError`."""
 
-    def __init__(self, config: MoEConfig, arrays: Mapping[str, np.ndarray]):
+    def __init__(self, config: MoEConfig, arrays: dict[str, np.ndarray]):
         if {name: np.shape(a) for name, a in arrays.items()} != dict(_param_layout(config)):
             raise FormatError("parameter array names or shapes do not match the config")
         self.config = config
@@ -127,11 +108,8 @@ class MoEParams:
         self.token_cols = np.repeat([g == TOKEN_LEVEL for g in config.granularity], config.hidden)
 
     @property
-    def arrays(self) -> NameView:
-        return NameView(self.config.n_experts, self.stacks)
-
-    def n_parameters(self) -> int:
-        return int(sum(a.size for a in self.stacks.values()))
+    def arrays(self) -> dict[str, np.ndarray]:
+        return named_arrays(self.config.n_experts, self.stacks)
 
 
 @dataclass
@@ -271,8 +249,8 @@ def moe_forward_batch(
                "expert_out": expert_out, "params": params, "work": work}
 
 
-def moe_backward_batch(de: np.ndarray, cache: dict) -> NameView:
-    """dL/d(every parameter) given dL/de, stacked under a :class:`NameView`."""
+def moe_backward_batch(de: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+    """dL/d(every parameter) given dL/de, keyed and shaped like ``params.stacks``."""
     params: MoEParams = cache["params"]
     S, cfg = params.stacks, params.config
     v, cls, t, h_act, pi_high, z_act, gate, vt = (
@@ -321,7 +299,7 @@ def moe_backward_batch(de: np.ndarray, cache: dict) -> NameView:
     dh = (dlogits @ S["high.W2"]) * (1.0 - h_act**2)
     G.update({"high.W1": dh.T @ t, "high.b1": dh.sum(axis=0),
               "high.W2": dlogits.T @ h_act, "high.b2": dlogits.sum(axis=0)})
-    return NameView(N, G)
+    return {key: G[key] for key in S}
 
 
 # ---------------------------------------------------------------------------

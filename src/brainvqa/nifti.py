@@ -105,9 +105,6 @@ _DTYPE_BY_CODE = {
 }
 _CODE_BY_DTYPE = {np.dtype(t): code for code, t in _DTYPE_BY_CODE.items()}
 
-_POS_LETTERS = "RAS"
-_NEG_LETTERS = "LPI"
-
 
 def _header_dtype(byteorder: str) -> np.dtype:
     return np.dtype(_HEADER_FIELDS).newbyteorder(byteorder)
@@ -135,11 +132,6 @@ class VolumeHeader:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "pixdim", tuple(float(s) for s in self.pixdim))
         object.__setattr__(self, "affine", aff)
-
-    @property
-    def orientation(self) -> str:
-        """Three-letter axis code derived from the affine (target is 'RAS')."""
-        return orientation_code(self.affine)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VolumeHeader):
@@ -254,31 +246,6 @@ class LabelMask:
                 split[0].flags.writeable = False
             self._coords = {label: split.get(label, coords[:0]) for label in self.label_names}
         return dict(self._coords)
-
-
-def orientation_code(affine: np.ndarray) -> str:
-    """Three-letter orientation of the voxel axes.
-
-    For each world axis in R, A, S order, the voxel axis with the
-    largest-magnitude affine entry is claimed (ties broken by lower voxel
-    axis index); its letter is the world axis letter, negated when the entry
-    is negative.
-    """
-    aff = np.asarray(affine, dtype=np.float64)[:3, :3]
-    letters = [""] * 3
-    taken = [False] * 3
-    for world in range(3):
-        best_j, best_mag = -1, -1.0
-        for j in range(3):
-            if taken[j]:
-                continue
-            mag = abs(aff[world, j])
-            if mag > best_mag:
-                best_j, best_mag = j, mag
-        taken[best_j] = True
-        positive = aff[world, best_j] >= 0
-        letters[best_j] = _POS_LETTERS[world] if positive else _NEG_LETTERS[world]
-    return "".join(letters)
 
 
 def _quaternion_affine(hdr: np.void) -> np.ndarray:

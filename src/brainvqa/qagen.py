@@ -66,10 +66,6 @@ class TaskDescriptors:
     shape_metrics: ShapeMetrics | None = None
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def absent(self) -> bool:
-        return self.volume is None and self.regions is None and self.spread is None
-
 
 @dataclass
 class DatasetRecord:

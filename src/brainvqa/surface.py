@@ -1,19 +1,21 @@
 """Isosurface extraction and triangle-mesh measurements.
 
-Marching cubes runs at iso-level 0.5 on a one-voxel zero-padded copy of the
-mask with linear edge interpolation, so meshes are closed by construction;
-vertex positions are scaled by the voxel spacing into millimeters.  The
-triangles of all active cells are gathered from the case table at once; each
-triangle corner is keyed by the grid edge it lies on (lower corner, axis), and
-``np.unique`` welds equal keys into one vertex, numbered in order of first use.
+Marching cubes runs at iso-level 0.5 on a one-voxel zero-padded boolean copy
+of the mask, so meshes are closed by construction.  On a binary mask every
+crossed edge joins an inside and an outside corner, so every vertex is the
+edge's midpoint; vertex positions are scaled by the voxel spacing into
+millimeters.  The triangles of all active cells are gathered from the case
+table at once; each triangle corner is keyed by the grid edge it lies on
+(lower corner, axis), and ``np.unique`` welds equal keys into one vertex,
+numbered in order of first use.
 
-On a binary mask every vertex is an edge midpoint, so the surface area needs
-no mesh: it is ``math.fsum`` of the cells' case counts times :func:`case_area`,
-each case's triangle area at the given spacing.  ``_component_areas`` counts
-the cases of many voxel sets with one pass over their crops laid side by side
-(one pass per crop width class); it gives the area that descriptors report (through
-:func:`shape.component_shape_metrics`), and :func:`surface_area` is its call
-for one mask.  :func:`marching_cubes` serves mesh export.
+Since the vertices are midpoints, the surface area needs no mesh: it is
+``math.fsum`` of the cells' case counts times :func:`case_area`, each case's
+triangle area at the given spacing.  ``_component_areas`` counts the cases of
+many voxel sets with one pass over their crops laid side by side (one pass per
+crop width class); it gives the area that descriptors report (through
+:func:`shape.component_shape_metrics`).  :func:`marching_cubes` serves mesh
+export.
 """
 from __future__ import annotations
 
@@ -57,8 +59,6 @@ _EDGE_AXIS = np.argmax(_EDGE_ENDS[:, 0] != _EDGE_ENDS[:, 1], axis=1)
 # Up to five edge-index triangles per case; rows of -1 pad the unused slots.
 _CASE_TRIANGLES = np.array(TRI_TABLE, dtype=np.int64)[:, :15].reshape(256, 5, 3)
 
-ISO_LEVEL = 0.5
-
 
 @dataclass
 class SurfaceMesh:
@@ -81,7 +81,7 @@ class SurfaceMesh:
 def _cell_cases(inside: np.ndarray) -> np.ndarray:
     """Case index of every cell of a padded boolean grid.
 
-    Bit i is set when cell corner i is background (below the iso-level),
+    Bit i is set when cell corner i is background (outside the mask),
     matching the table convention.
     """
     nx, ny, nz = (s - 1 for s in inside.shape)
@@ -109,24 +109,6 @@ def case_area(spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> np.ndarr
     return table
 
 
-def surface_area(
-    mask: np.ndarray, spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> float:
-    """Area in mm^2 of the marching-cubes surface of a binary mask, without a mesh.
-
-    ``math.fsum`` of the mask's case counts times :func:`case_area`; it equals
-    ``triangle_areas(marching_cubes(mask, spacing)).sum()`` up to the
-    rounding of the two sums.
-    """
-    mask = np.asarray(mask)
-    if mask.ndim != 3:
-        raise GeometryError(f"mask must be 3D, got shape {mask.shape}")
-    coords = np.argwhere(mask)
-    if len(coords) == 0:
-        return 0.0
-    return _component_areas(coords, np.array([len(coords)]), spacing)[0]
-
-
 def _component_areas(
     coords: np.ndarray, sizes: np.ndarray, spacing: tuple[float, float, float]
 ) -> list[float]:
@@ -137,7 +119,9 @@ def _component_areas(
     third axis (the same power of two above it) share one canvas and one case
     pass (:func:`_canvas_case_counts`), so padding a crop to the canvas at
     most doubles each of those widths.  Each area is ``math.fsum`` of the
-    set's case counts times :func:`case_area`.
+    set's case counts times :func:`case_area`; it equals
+    ``triangle_areas(marching_cubes(mask, spacing)).sum()`` of the set's mask
+    up to the rounding of the two sums.
     """
     starts = np.cumsum(sizes) - sizes
     lo = np.minimum.reduceat(coords, starts, axis=0)
@@ -193,9 +177,9 @@ def marching_cubes(
     if not (mask != 0).any():
         raise GeometryError("cannot mesh an empty component")
 
-    grid = np.zeros(tuple(d + 2 for d in mask.shape), dtype=np.float64)
-    grid[1:-1, 1:-1, 1:-1] = (mask != 0).astype(np.float64)
-    case = _cell_cases(grid >= ISO_LEVEL)
+    inside = np.zeros(tuple(d + 2 for d in mask.shape), dtype=bool)
+    inside[1:-1, 1:-1, 1:-1] = mask != 0
+    case = _cell_cases(inside)
 
     active = np.argwhere((case != 0) & (case != 255))
     tris = _CASE_TRIANGLES[case[tuple(active.T)]]  # (cells, 5, 3)
@@ -205,18 +189,15 @@ def marching_cubes(
     axis = _EDGE_AXIS[edges]
 
     # One vertex per crossed grid edge, numbered in order of first use.
-    key = np.ravel_multi_index(tuple(base.T), grid.shape) * 3 + axis
+    key = np.ravel_multi_index(tuple(base.T), inside.shape) * 3 + axis
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     triangles = np.argsort(order)[inverse].reshape(-1, 3)
 
     base = base[first[order]]
     unit = np.eye(3, dtype=np.int64)[axis[first[order]]]
-    v0 = grid[tuple(base.T)]
-    v1 = grid[tuple((base + unit).T)]
-    mu = (ISO_LEVEL - v0) / (v1 - v0)
-    # Undo the one-voxel pad and scale to millimeters.
-    vertices = (base + mu[:, None] * unit - 1.0) * np.asarray(spacing, dtype=np.float64)
+    # Each vertex is its edge's midpoint; undo the one-voxel pad and scale to millimeters.
+    vertices = (base + 0.5 * unit - 1.0) * np.asarray(spacing, dtype=np.float64)
 
     mesh = SurfaceMesh(vertices, triangles)
     areas = triangle_areas(mesh)

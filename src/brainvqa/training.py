@@ -11,6 +11,12 @@ Tasks whose gold is Unspecified are masked out of their term.
 The optimizer is plain full-batch gradient descent.  Only the fusion block
 and the heads are trained; the image tokens and prompt embeddings are fixed
 inputs, so the backward stops at the parameters and forms no gradient for them.
+A step's gradients come back as one plain dict keyed and shaped like the
+stored arrays (the MoE stacks and the heads, ``MultiTaskModel.stored_arrays``),
+so the update is one subtraction per stored array.  Per-expert names exist
+only where a caller needs them: ``MultiTaskModel.all_arrays`` is a dict of
+views named ``expert{n}.{kind}`` (:func:`brainvqa.moe.named_arrays`), read by
+the finite-difference check.
 
 Each :class:`ToyBatch` owns the workspace of its training steps, ``work``:
 :func:`model_loss_and_grads` hands it to the fusion block, whose forward and
@@ -28,7 +34,8 @@ import numpy as np
 
 from .errors import TrainingError
 from .moe import (
-    MoEParams, NameView, init_moe_params, moe_backward_batch, moe_forward_batch, sigmoid, softmax,
+    MoEParams, init_moe_params, moe_backward_batch, moe_forward_batch, named_arrays, sigmoid,
+    softmax,
 )
 from .morphology import NOT_AVAILABLE, SPREAD_CORE_SATELLITES, SPREAD_SCATTERED, SPREAD_SINGLE
 from .regions import REGION_NAMES, VOLUME_BINS
@@ -141,9 +148,9 @@ class MultiTaskModel:
         """The MoE stacks and the head arrays, each stored once."""
         return {**self.moe.stacks, **self.heads}
 
-    def all_arrays(self) -> NameView:
+    def all_arrays(self) -> dict[str, np.ndarray]:
         """Every parameter by name; the MoE names are views into its stacks."""
-        return NameView(self.moe.config.n_experts, self.stored_arrays())
+        return named_arrays(self.moe.config.n_experts, self.stored_arrays())
 
 
 @dataclass
@@ -171,11 +178,11 @@ def model_forward(model: MultiTaskModel, batch: ToyBatch, work: dict | None = No
 
 def model_loss_and_grads(
     model: MultiTaskModel, batch: ToyBatch
-) -> tuple[float, dict[str, float], NameView]:
+) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Loss plus gradients for every parameter array (moe + heads).
 
-    The gradients are laid out like ``model.stored_arrays()`` and named like
-    ``model.all_arrays()``.
+    The gradients are keyed and laid out like ``model.stored_arrays()``;
+    :func:`~brainvqa.moe.named_arrays` names them like ``model.all_arrays()``.
     """
     hidden, logits, cache = model_forward(model, batch, batch.work)
     total, breakdown, dlogits = multitask_loss(logits, batch.gold)
@@ -188,8 +195,7 @@ def model_loss_and_grads(
         dhidden += dlogits[task] @ model.heads[f"head_{task}.W"]
     n_positions = batch.v.shape[1]
     de = np.repeat(dhidden[:, None, :], n_positions, axis=1) / n_positions
-    moe_grads = moe_backward_batch(de, cache)
-    return total, breakdown, NameView(model.moe.config.n_experts, {**moe_grads.stacks, **grads})
+    return total, breakdown, {**moe_backward_batch(de, cache), **grads}
 
 
 def finite_difference_errors(
@@ -205,6 +211,7 @@ def finite_difference_errors(
     """
     eps = 1e-5
     _, _, grads = model_loss_and_grads(model, batch)
+    grads = named_arrays(model.moe.config.n_experts, grads)
     worst: dict[str, float] = {}
     for name, arr in model.all_arrays().items():
         worst[name] = 0.0
@@ -265,7 +272,7 @@ def train_toy(
         curve.append(loss)
         if lr != 0.0:
             for key, arr in model.stored_arrays().items():
-                arr -= lr * grads.stacks[key]
+                arr -= lr * grads[key]
         if (
             target_accuracy is not None
             and val is not None

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from brainvqa.errors import GeometryError
 from brainvqa.mc_tables import TRI_TABLE
 from brainvqa.morphology import ComponentLabeling, connected_components
-from brainvqa.surface import CORNER_OFFSETS, EDGE_CORNERS, ISO_LEVEL, SurfaceMesh, marching_cubes
+from brainvqa.surface import CORNER_OFFSETS, EDGE_CORNERS, SurfaceMesh, marching_cubes
 from geometry_helpers import ragged, split_components
 
 HALF_OFFSETS = [
@@ -93,6 +93,10 @@ def union_find_components(
         coord_lists.append(members)
     return ComponentLabeling(*ragged(coord_lists), dv), labeling
 
+
+# The reference extractor keeps its own iso-level and interpolates on a float
+# grid, so it stays independent of how ``marching_cubes`` places its vertices.
+ISO_LEVEL = 0.5
 
 EDGE_GLOBAL = []
 for _a, _b in EDGE_CORNERS:

@@ -23,6 +23,7 @@ from brainvqa.moe import (
     moe_forward,
     moe_forward_batch,
     moe_forward_oracle,
+    named_arrays,
     save_checkpoint,
     token_count_comparison,
 )
@@ -252,7 +253,7 @@ class TestMoEBackward:
             return float((e[0] * proj).sum())
 
         e, cache = moe_forward_batch(v[None], cls[None], t[None], params)
-        grads = moe_backward_batch(proj[None], cache)
+        grads = named_arrays(2, moe_backward_batch(proj[None], cache))
         eps = 1e-6
         for name, arr in params.arrays.items():
             flat = arr.reshape(-1)
@@ -275,7 +276,7 @@ class TestMoEBackward:
         params.arrays["high.W2"][:] = 0.0
         v, cls, t = random_inputs(28, 4, 2, 3, 4)
         _, cache = moe_forward_batch(v[None], cls[None], t[None], params)
-        grads = moe_backward_batch(np.ones((1, 4, 4)), cache)
+        grads = named_arrays(2, moe_backward_batch(np.ones((1, 4, 4)), cache))
         for name, g in grads.items():
             if name.startswith("expert1."):
                 assert np.linalg.norm(g) <= 1e-10, name
@@ -301,8 +302,9 @@ class TestGranularityAndUtilities:
     def test_parameter_count_reportable(self):
         params = init_moe_params(0, n_experts=2, n_modalities=2, d_image=3, d_text=4,
                                  hidden=2)
-        assert params.n_parameters() == sum(a.size for a in params.arrays.values())
-        assert params.n_parameters() > 0
+        n_parameters = sum(a.size for a in params.arrays.values())
+        assert n_parameters == sum(a.size for a in params.stacks.values())
+        assert n_parameters > 0
 
     def test_checkpoint_round_trip(self, tmp_path):
         params = randomized_params(29, n_experts=3, n_modalities=2, d_image=4, d_text=5)
@@ -407,7 +409,8 @@ class TestStackedStore:
         assert len(params.arrays) == len(list(params.arrays))
         for absent in ("Wm", "expert3.Wm", "expert01.Wm", "expert0.W9", "high.W3"):
             assert absent not in params.arrays
-        assert params.n_parameters() == sum(a.size for a in params.stacks.values())
+        assert sum(a.size for a in params.arrays.values()) == sum(
+            a.size for a in params.stacks.values())
 
     def test_deepcopy_is_independent(self):
         params = randomized_params(41, n_experts=4, n_modalities=2, d_image=3, d_text=4)

@@ -23,6 +23,7 @@ from brainvqa.moe import (
     moe_backward_batch,
     moe_forward,
     moe_forward_batch,
+    named_arrays,
     sigmoid,
     softmax,
 )
@@ -141,7 +142,7 @@ def assert_matches_loop(seed, granularity, batch, n_i, n_m, d_i, d_t, hidden):
     assert e.shape == e_ref.shape
     assert np.abs(e - e_ref).max() <= 1e-12
 
-    grads = moe_backward_batch(de, cache)
+    grads = named_arrays(len(granularity), moe_backward_batch(de, cache))
     grads_ref = loop_backward_batch(de, cache_ref)
     assert set(grads) == set(grads_ref)
     scale = max(float(np.abs(ref).max()) for ref in grads_ref.values())

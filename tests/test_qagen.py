@@ -57,8 +57,7 @@ class TestComputeDescriptors:
         assert et.spread.category == "single lesion"
         assert et.shape == "focus"  # 33 mm^3 < 100 mm^3
         rc = by_label["Resection Cavity"]
-        assert rc.absent
-        assert rc.volume is None and rc.regions is None and rc.shape is None
+        assert (rc.volume, rc.regions, rc.shape, rc.spread) == (None, None, None, None)
 
     def test_memory_order_and_axis_flip_do_not_change_descriptors(self):
         dims = (32, 28, 24)
@@ -81,13 +80,13 @@ class TestComputeDescriptors:
             brain_voxels = int(np.count_nonzero(conformed[0].data))
             descs = compute_descriptors("study_a", brain_voxels, study_mask, atlas, 5)
             out[name] = [descriptor_to_json(d) for d in descs]
-        assert sum(not d.absent for d in descs) >= 2
+        assert sum(d.volume is not None for d in descs) >= 2
         assert out["F"] == out["C"]
         assert out["flipped"] == out["C"]
 
     def test_absent_label_all_na_together(self):
         d = descriptor(absent=True)
-        assert d.absent
+        assert (d.volume, d.regions, d.shape, d.spread) == (None, None, None, None)
 
     def test_descriptor_json_round_trip(self):
         for d in (descriptor(), descriptor(absent=True)):

@@ -69,7 +69,7 @@ class TestRelativeVolume:
             compute_descriptors("s", 0, one_label((10, 10, 10)), atlas)
         empty = LabelMask(Volume3D.from_array(np.zeros((10, 10, 10), np.int16)), {1: "x"})
         (desc,) = compute_descriptors("s", 0, empty, atlas)
-        assert desc.absent
+        assert (desc.volume, desc.regions, desc.shape, desc.spread) == (None, None, None, None)
 
     def test_invariant_under_conform_round_trip(self):
         from brainvqa.nifti import conform_to_ras

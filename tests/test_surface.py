@@ -8,14 +8,15 @@ from brainvqa.surface import (
     CORNER_OFFSETS,
     EDGE_CORNERS,
     SurfaceMesh,
+    _component_areas,
     case_area,
     marching_cubes,
-    surface_area,
     triangle_areas,
     write_off,
 )
 from conftest import random_blob
 from geometry_helpers import (
+    EDGE_TABLE,
     cell_triangles,
     is_closed,
     is_orientable,
@@ -52,6 +53,12 @@ class TestMeshArea:
         assert mesh_area(SurfaceMesh(verts, tris)) == pytest.approx(np.sqrt(3), abs=1e-12)
 
 
+def mask_area(mask: np.ndarray, spacing) -> float:
+    """The case-count area of one mask's voxels, as descriptors compute it."""
+    coords = np.argwhere(mask)
+    return _component_areas(coords, np.array([len(coords)]), spacing)[0]
+
+
 class TestSurfaceArea:
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.0, 1.3), (2.0, 0.5, 0.25)])
     def test_equals_the_mesh_area(self, spacing):
@@ -60,11 +67,11 @@ class TestSurfaceArea:
             if not mask.any():
                 continue
             mesh = mesh_area(marching_cubes(mask, spacing))
-            assert surface_area(mask, spacing) == pytest.approx(mesh, rel=1e-12, abs=0)
+            assert mask_area(mask, spacing) == pytest.approx(mesh, rel=1e-12, abs=0)
 
     def test_single_voxel_is_the_octahedron(self):
         want = mesh_area(single_voxel_mesh((0, 0, 0), (1, 2, 3)))
-        assert surface_area(np.ones((1, 1, 1)), (1, 2, 3)) == pytest.approx(want, rel=1e-15)
+        assert mask_area(np.ones((1, 1, 1)), (1, 2, 3)) == pytest.approx(want, rel=1e-15)
 
     def test_case_areas(self):
         areas = case_area((1.0, 1.0, 1.0))
@@ -74,13 +81,6 @@ class TestSurfaceArea:
         assert areas[3] == pytest.approx(np.sqrt(2) / 2)  # one edge: a slanted rectangle
         assert areas[15] == pytest.approx(1.0)  # one face: the mid-plane square
         assert (areas[1:255] > 0).all()
-
-    def test_empty_mask_has_no_area(self):
-        assert surface_area(np.zeros((2, 3, 4))) == 0.0
-
-    def test_rejects_non_3d(self):
-        with pytest.raises(GeometryError):
-            surface_area(np.ones((3, 3)))
 
 
 class TestMarchingCubes:
@@ -172,8 +172,6 @@ class TestTableAudit:
     """Structural checks of the 256-case tables themselves."""
 
     def test_edge_table_matches_triangle_table(self):
-        from brainvqa.mc_tables import EDGE_TABLE
-
         for case in range(256):
             referenced = {e for tri in cell_triangles(case) for e in tri}
             from_edge_table = {e for e in range(12) if EDGE_TABLE[case] >> e & 1}

@@ -21,7 +21,7 @@ from brainvqa.training import (
     smoothed,
     train_toy,
 )
-from brainvqa.moe import moe_backward_batch, moe_forward_batch
+from brainvqa.moe import moe_backward_batch, moe_forward_batch, named_arrays
 from brainvqa.rng import stream
 
 
@@ -141,6 +141,7 @@ class TestTrainToy:
         task = tiny_task()
         ref = copy.deepcopy(task.model)
         _, _, grads = model_loss_and_grads(ref, task.train)
+        grads = named_arrays(ref.moe.config.n_experts, grads)
         for name, arr in ref.all_arrays().items():
             arr -= 0.1 * grads[name]
         train_toy(task.train, task.model, steps=1, lr=0.1)
@@ -165,6 +166,7 @@ class TestTrainToy:
     def test_gradient_check_composite_loss(self):
         task = tiny_task()
         _, _, grads = model_loss_and_grads(task.model, task.train)
+        grads = named_arrays(task.model.moe.config.n_experts, grads)
         eps = 1e-5
         for name, arr in task.model.all_arrays().items():
             flat = arr.reshape(-1)
@@ -188,7 +190,7 @@ class TestTrainToy:
 
         def nan_gradient(model, batch):
             total, breakdown, grads = real(model, batch)
-            grads["expert0.Ws"].flat[1] = np.nan
+            grads["Ws"][0].flat[1] = np.nan
             return total, breakdown, grads
 
         monkeypatch.setattr(training, "model_loss_and_grads", nan_gradient)
@@ -234,7 +236,7 @@ class TestWorkspace:
         e, cache = moe_forward_batch(batch.v, batch.cls, batch.t, model.moe, batch.work)
         grads = moe_backward_batch(stream(6, "de").normal(size=e.shape), cache)
         _, _, step_grads = model_loss_and_grads(model, batch)
-        returned = [e, *grads.stacks.values(), *step_grads.stacks.values()]
+        returned = [e, *grads.values(), *step_grads.values()]
         kept = [a.copy() for a in returned]
         for arr in model.stored_arrays().values():
             arr += 0.01 * stream(7, "perturb").normal(size=arr.shape)

@@ -281,8 +281,39 @@ def record_to_json(rec: DatasetRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+# The JSON type each writer gives a field, as its reader checks it; the lists
+# of strings are checked by ``_strings`` where they are read.
+_RECORD_TYPES = {key: str for key in (
+    "id", "study_id", "label_name", "split", "question", "answer", "oos_kind",
+    "gold_volume", "gold_shape", "gold_spread", "template_id")}
+_NUMBER_OR_NULL = (float, int, type(None))
+_DESCRIPTOR_TYPES = {
+    "study_id": str, "label_name": str, "volume_bin": str, "volume_fraction": _NUMBER_OR_NULL,
+    "volume_clamped": bool, "region_counts": dict, "shape": str, "spread": str,
+    "core_fraction": _NUMBER_OR_NULL, "n_components": int}
+_TYPE_NAMES = {str: "a string", bool: "true or false", dict: "an object", int: "an integer",
+               _NUMBER_OR_NULL: "a number or null"}
+
+
+def _check_types(d: dict, types: dict) -> None:
+    """A TypeError naming the first key of ``d`` whose value is not of its type in ``types``."""
+    for key, kind in types.items():
+        if key in d and not isinstance(d[key], kind):
+            raise TypeError(f"{key} must be {_TYPE_NAMES[kind]}, not {d[key]!r}")
+
+
+def _strings(key: str, value) -> list:
+    """``value`` of field ``key``, which must be a list of strings, else a TypeError."""
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise TypeError(f"{key} must be a list of strings, not {value!r}")
+    return value
+
+
 def record_from_json(line: str) -> DatasetRecord:
+    """One dataset record; a field not of the type ``record_to_json`` writes is a TypeError."""
     d = json.loads(line)
+    _check_types(d, _RECORD_TYPES)
+    regions = d["gold_regions"]
     return DatasetRecord(
         id=d["id"],
         study_id=d["study_id"],
@@ -290,16 +321,16 @@ def record_from_json(line: str) -> DatasetRecord:
         split=d["split"],
         question=d["question"],
         answer=d["answer"],
-        task_set=tuple(d["task_set"]),
+        task_set=tuple(_strings("task_set", d["task_set"])),
         oos_kind=d["oos_kind"],
         gold={
             "volume": d["gold_volume"],
-            "region": d["gold_regions"],
+            "region": regions if isinstance(regions, str) else _strings("gold_regions", regions),
             "shape": d["gold_shape"],
             "spread": d["gold_spread"],
         },
         template_id=d.get("template_id", ""),
-        warnings=tuple(d.get("warnings", ())),
+        warnings=tuple(_strings("warnings", d.get("warnings", []))),
     )
 
 
@@ -337,7 +368,11 @@ def descriptor_to_json(desc: TaskDescriptors) -> str:
 
 
 def descriptor_from_json(line: str) -> TaskDescriptors:
+    """One descriptor; a field not of the type ``descriptor_to_json`` writes is a TypeError.
+
+    ``regions`` is a list of strings or "N/A"."""
     d = json.loads(line)
+    _check_types(d, _DESCRIPTOR_TYPES)
     volume = None
     if d.get("volume_bin", NOT_AVAILABLE) != NOT_AVAILABLE:
         volume = VolumeBin(
@@ -347,7 +382,7 @@ def descriptor_from_json(line: str) -> TaskDescriptors:
     regions = None
     if d.get("regions", NOT_AVAILABLE) != NOT_AVAILABLE:
         counts = {k: int(v) for k, v in d.get("region_counts", {}).items()}
-        regions = RegionAssignment(tuple(d["regions"]), counts)
+        regions = RegionAssignment(tuple(_strings("regions", d["regions"])), counts)
     shape = d.get("shape") if d.get("shape") != NOT_AVAILABLE else None
     spread = None
     if d.get("spread", NOT_AVAILABLE) != NOT_AVAILABLE:
@@ -361,7 +396,7 @@ def descriptor_from_json(line: str) -> TaskDescriptors:
         regions=regions,
         shape=shape,
         spread=spread,
-        warnings=list(d.get("warnings", [])),
+        warnings=list(_strings("warnings", d.get("warnings", []))),
     )
 
 

@@ -11,6 +11,11 @@ infinity is a FormatError, a training run whose parameters end non-finite is
 a TrainingError (exit 4), and ``moe-demo`` refuses a step count below 1 or a
 non-finite learning rate (exit 2) before it writes anything.
 
+A descriptor or dataset-record field that is not of the JSON type its writer
+emits (a number for a label name, ``[1, 2]`` for regions) ends every command
+that reads it (``generate``, ``split``, ``eval`` and ``eval --kappa``) in exit
+3, with the file, the line and the key in the message.
+
 A config file (labels config, region map, study list) that is not UTF-8 JSON
 of the right shape exits 2, and a template bank that is not UTF-8 exits 3,
 each with one message line and no output written.
@@ -377,3 +382,57 @@ class TestConfigFiles:
         assert cli.main([*command, "--bank", str(bank), "--out", str(out)]) == 3
         assert_one_line_error(capsys, "data error", str(bank), "UTF-8")
         assert not out.exists()
+
+
+# A field of the wrong JSON type, as (reader, key, value, command): the command
+# reads a file whose one line, the first with a region list, carries the value.
+MISTYPED_FIELDS = [
+    ("record", "gold_regions", 5, "eval"),
+    ("record", "gold_regions", [1, 2], "eval --kappa"),
+    ("descriptor", "volume_bin", 3, "generate"),
+    ("descriptor", "shape", ["round"], "generate"),
+    ("descriptor", "spread", 1.5, "generate"),
+    ("descriptor", "label_name", 7, "generate"),
+    ("descriptor", "regions", [1, 2], "generate"),
+    ("descriptor", "regions", "abc", "generate"),
+    ("descriptor", "study_id", ["a"], "generate"),
+    ("descriptor", "study_id", ["a"], "split"),
+]
+
+
+class TestMistypedJsonlFields:
+    """A field not of the JSON type its writer emits exits 3, naming file, line and key."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory) -> Path:
+        root = tmp_path_factory.mktemp("typed")
+        data = root / "data.jsonl"
+        assert cli.main(["generate", "--descriptors", str(GOLDEN_PATH), "--seed", "5",
+                         "--out", str(data)]) == 0
+        preds = root / "pred.jsonl"
+        preds.write_text("".join(
+            json.dumps({"id": r["id"], "volume": r["gold_volume"], "regions": r["gold_regions"]})
+            + "\n" for r in map(json.loads, data.read_text().splitlines())))
+        return data
+
+    @pytest.mark.parametrize("reader, key, value, command", MISTYPED_FIELDS,
+                             ids=[f"{c}-{k}-{v}" for _, k, v, c in MISTYPED_FIELDS])
+    def test_exit_3_naming_the_key(self, dataset, tmp_path, capsys, reader, key, value, command):
+        good = dataset if reader == "record" else GOLDEN_PATH
+        region_key = "gold_regions" if reader == "record" else "regions"
+        rows = [json.loads(line) for line in good.read_text().splitlines()]
+        lineno = next(i for i, row in enumerate(rows, 1) if isinstance(row[region_key], list))
+        rows[lineno - 1][key] = value
+        bad = tmp_path / f"bad_{good.name}"
+        bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = str(tmp_path / "out")
+        argv = {
+            "eval": ["eval", "--gold", str(bad), "--pred", str(dataset.parent / "pred.jsonl")],
+            "eval --kappa": ["eval", "--gold", str(dataset), "--pred",
+                             str(dataset.parent / "pred.jsonl"), "--kappa", str(bad)],
+            "generate": ["generate", "--descriptors", str(bad), "--seed", "1"],
+            "split": ["split", "--descriptors", str(bad), "--seed", "1"],
+        }[command]
+        assert cli.main(argv + ["--out", out]) == 3
+        assert_one_line_error(capsys, "data error", f"{bad}:{lineno}: {key} must be")
+        assert not Path(out).exists()

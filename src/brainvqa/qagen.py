@@ -281,17 +281,20 @@ def record_to_json(rec: DatasetRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-# The JSON type each writer gives a field, as its reader checks it; the lists
-# of strings are checked by ``_strings`` where they are read.
-_RECORD_TYPES = {key: str for key in (
-    "id", "study_id", "label_name", "split", "question", "answer", "oos_kind",
-    "gold_volume", "gold_shape", "gold_spread", "template_id")}
+# The JSON type each writer gives a field, as its reader checks it: one
+# isinstance per field.  Region lists, whose names are sorted and joined, are
+# also checked element by element (``_strings``) where they are read.
+_RECORD_TYPES = {
+    **{key: str for key in ("id", "study_id", "label_name", "split", "question", "answer",
+                            "oos_kind", "gold_volume", "gold_shape", "gold_spread", "template_id")},
+    "task_set": list, "gold_regions": (list, str), "warnings": list}
 _NUMBER_OR_NULL = (float, int, type(None))
 _DESCRIPTOR_TYPES = {
     "study_id": str, "label_name": str, "volume_bin": str, "volume_fraction": _NUMBER_OR_NULL,
     "volume_clamped": bool, "region_counts": dict, "shape": str, "spread": str,
-    "core_fraction": _NUMBER_OR_NULL, "n_components": int}
+    "core_fraction": _NUMBER_OR_NULL, "n_components": int, "warnings": list}
 _TYPE_NAMES = {str: "a string", bool: "true or false", dict: "an object", int: "an integer",
+               list: "a list", (list, str): "a list or a string",
                _NUMBER_OR_NULL: "a number or null"}
 
 
@@ -321,7 +324,7 @@ def record_from_json(line: str) -> DatasetRecord:
         split=d["split"],
         question=d["question"],
         answer=d["answer"],
-        task_set=tuple(_strings("task_set", d["task_set"])),
+        task_set=tuple(d["task_set"]),
         oos_kind=d["oos_kind"],
         gold={
             "volume": d["gold_volume"],
@@ -330,7 +333,7 @@ def record_from_json(line: str) -> DatasetRecord:
             "spread": d["gold_spread"],
         },
         template_id=d.get("template_id", ""),
-        warnings=tuple(_strings("warnings", d.get("warnings", []))),
+        warnings=tuple(d.get("warnings", ())),
     )
 
 
@@ -396,7 +399,7 @@ def descriptor_from_json(line: str) -> TaskDescriptors:
         regions=regions,
         shape=shape,
         spread=spread,
-        warnings=list(_strings("warnings", d.get("warnings", []))),
+        warnings=list(d.get("warnings", [])),
     )
 
 

@@ -88,20 +88,33 @@ def _stanza(command: str, args: argparse.Namespace) -> str:
     return f"# brainvqa v{__version__} | command={command} | seed={seed} | config_hash={digest}"
 
 
-def _read_jsonl(path, parse) -> list:
+def _read_jsonl(path, parse, scored=None) -> list:
     """``parse`` applied to every non-blank line of a UTF-8 JSONL file.
 
     A line that is not UTF-8 JSON, lacks a key, or holds a value ``parse``
     rejects (``TypeError``, ``ValueError``, or ``OverflowError`` for an
     infinite count) raises FormatError naming the file and line.
+
+    With a set of ``scored`` ids, every non-blank line must still be a JSON
+    object with a string ``id``, but only the lines whose ``id`` is in
+    ``scored`` go through ``parse``; the others are dropped unparsed.
     """
     items = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if line.strip():
-                    items.append(parse(line))
+                if not line.strip():
+                    continue
+                if scored is not None:
+                    d = json.loads(line)
+                    if not isinstance(d, dict):
+                        raise TypeError("line is not a JSON object")
+                    if not isinstance(d["id"], str):
+                        raise TypeError(f"id must be a string, not {d['id']!r}")
+                    if d["id"] not in scored:
+                        continue
+                items.append(parse(line))
             except KeyError as exc:
                 raise FormatError(f"{path}:{lineno}: missing key {exc}") from None
             except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
@@ -319,7 +332,8 @@ def cmd_split(args) -> int:
 
 
 def _kappa_section(gold_records, other_path) -> dict[str, float]:
-    other = {r.id: r for r in _read_jsonl(other_path, record_from_json)}
+    scored = {r.id for r in gold_records}
+    other = {r.id: r for r in _read_jsonl(other_path, record_from_json, scored)}
     section = {}
     values = []
     for task in TASKS:
@@ -345,12 +359,12 @@ def _kappa_section(gold_records, other_path) -> dict[str, float]:
 def cmd_eval(args) -> int:
     print(_stanza("eval", args))
     gold = _read_jsonl(args.gold, record_from_json)
-    preds = _read_jsonl(args.pred, _prediction_from_json)
+    preds = _read_jsonl(args.pred, _prediction_from_json, {r.id for r in gold})
     report = evaluate_predictions(gold, preds, seed=args.seed, resamples=args.resamples)
     if args.kappa:
         report.kappa = _kappa_section(gold, args.kappa)
-    # A file without a single prediction value (a dataset, say) would score
-    # every record as "no answer"; errors of single lines are reported first.
+    # A file whose scored lines give no prediction value (a dataset, say) would
+    # score every record as "no answer"; errors of single lines are reported first.
     if not any(getattr(p, name) is not None for p in preds for name in PREDICTION_FIELDS):
         raise FormatError(f"{args.pred}: no line gives a prediction ("
                           f"{', '.join(PREDICTION_FIELDS)}); is it a dataset?")

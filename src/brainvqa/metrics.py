@@ -22,6 +22,8 @@ from .rng import stream
 from .templates import TASKS, UNSPECIFIED
 
 BOOTSTRAP_RESAMPLES = 500
+# Most indices one bootstrap block holds (64 KB of int64 draws).
+BOOTSTRAP_BLOCK_INDICES = 1 << 13
 
 
 @dataclass
@@ -103,20 +105,35 @@ def bootstrap_std(
     ``scores`` maps a task to its per-record ``(included, score)`` vectors.
     Resample r draws n indices once, from the counter-keyed stream
     ``(seed, "bootstrap", r)``, and scores every task on them: results are the
-    same under any parallel schedule, and memory stays O(n).  A resample that
-    includes no record of a task is skipped for that task; a task that no
-    resample includes has no spread to report and gets None (null in JSON).
+    same under any parallel schedule.  Resamples are stacked in blocks of at
+    most ``BOOTSTRAP_BLOCK_INDICES`` indices (one resample if n is larger), so
+    memory stays O(n).  An int-hit task is scored per block by array sums, as
+    ``100.0 * hits / count`` like :func:`_percent`; float region credit keeps
+    one ``np.mean`` per resample, whose summation order sets the bits.  A
+    resample that includes no record of a task is skipped for that task; a
+    task that no resample includes has no spread to report and gets None
+    (null in JSON).
     """
     n = len(next(iter(scores.values()))[0]) if scores else 0
     if n == 0:
         raise FormatError("bootstrap needs at least one record")
-    values: dict[str, list[float]] = {task: [] for task in scores}
-    for r in range(resamples):
-        idx = stream(seed, "bootstrap", r).integers(0, n, size=n)
+    hit = {task: included & (score != 0) for task, (included, score) in scores.items()
+           if score.dtype.kind != "f"}
+    values: dict[str, list] = {task: [] for task in scores}
+    rows = max(1, BOOTSTRAP_BLOCK_INDICES // n)
+    for start in range(0, resamples, rows):
+        idx = np.stack([stream(seed, "bootstrap", r).integers(0, n, size=n)
+                        for r in range(start, min(start + rows, resamples))])
         for task, (included, score) in scores.items():
-            value = _percent(score[idx[included[idx]]])
-            if value is not None:
-                values[task].append(value)
+            if task in hit:
+                count = included[idx].sum(axis=1)
+                drawn = count > 0
+                values[task].extend(100.0 * hit[task][idx].sum(axis=1)[drawn] / count[drawn])
+            else:
+                for row in idx:
+                    value = _percent(score[row[included[row]]])
+                    if value is not None:
+                        values[task].append(value)
     return {task: float(np.std(v)) if v else None for task, v in values.items()}
 
 

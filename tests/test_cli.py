@@ -696,6 +696,87 @@ class TestMalformedJsonl:
                                       "--resamples", "5"], bad, capsys)
 
 
+class TestEvalChecksScoredIdsInFull:
+    """``eval`` parses in full only the --pred and --kappa lines whose id is a
+    gold id; every other non-blank line must still be a JSON object with a
+    string ``id``."""
+
+    UNSCORED = "unscored/0"
+
+    @pytest.fixture()
+    def files(self, tmp_path) -> dict[str, Path]:
+        dataset = tmp_path / "data.jsonl"
+        main(["generate", "--descriptors", str(GOLDEN), "--seed", "5", "--out", str(dataset)])
+        lines = dataset.read_text().splitlines()
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("\n".join(lines[:24]) + "\n")
+        preds = tmp_path / "pred.jsonl"
+        rows = []
+        for i, raw in enumerate(lines):
+            d = json.loads(raw)
+            rows.append(json.dumps({
+                "id": d["id"], "volume": d["gold_volume"] if i % 3 else "N/A",
+                "regions": d["gold_regions"], "shape": d["gold_shape"],
+                "spread": d["gold_spread"], "oos": d["oos_kind"]}))
+        preds.write_text("\n".join(rows) + "\n")
+        return {"--gold": gold, "--pred": preds, "--kappa": dataset}
+
+    @staticmethod
+    def eval_with(files: dict[str, Path], out: Path, **replaced: Path) -> int:
+        argv = ["eval", "--out", str(out), "--resamples", "30"]
+        for flag, path in files.items():
+            argv += [flag, str(replaced.get(flag[2:], path))]
+        return main(argv)
+
+    @staticmethod
+    def with_line_3(path: Path, tmp_path: Path, line: bytes) -> Path:
+        lines = path.read_bytes().splitlines(keepends=True)
+        out = tmp_path / f"bad_{path.name}"
+        out.write_bytes(b"".join(lines[:2]) + line + b"\n" + b"".join(lines[2:]))
+        return out
+
+    def unscored_mistyped(self, flag: str, files: dict[str, Path]) -> bytes:
+        if flag == "--pred":
+            return json.dumps({"id": self.UNSCORED, "volume": 5}).encode()
+        row = json.loads(files["--kappa"].read_text().splitlines()[0])
+        return json.dumps({**row, "id": self.UNSCORED, "gold_regions": [1]}).encode()
+
+    @pytest.mark.parametrize("flag", ["--pred", "--kappa"])
+    def test_unscored_mistyped_line_changes_no_byte(self, files, tmp_path, flag):
+        assert self.eval_with(files, tmp_path / "want.json") == 0
+        bad = self.with_line_3(files[flag], tmp_path, self.unscored_mistyped(flag, files))
+        assert self.eval_with(files, tmp_path / "got.json", **{flag[2:]: bad}) == 0
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--pred", "--kappa"])
+    @pytest.mark.parametrize("line", [
+        b"{not json", b"\xff\xfe", b"[1, 2]", b'"unscored/0"', b'{"volume": "1-5%"}',
+        b'{"id": 7, "volume": "1-5%"}', b'{"id": null}', b'{"id": ["unscored/0"]}',
+    ])
+    def test_unscored_line_without_an_object_with_string_id_exit_3(
+            self, files, tmp_path, capsys, flag, line):
+        bad = self.with_line_3(files[flag], tmp_path, line)
+        out = tmp_path / "r.json"
+        assert self.eval_with(files, out, **{flag[2:]: bad}) == 3
+        assert f"{bad}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_as_pred_is_refused(self, files, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert self.eval_with(files, out, pred=files["--kappa"]) == 3
+        assert f"{files['--kappa']}: no line gives a prediction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predictions_only_on_unscored_lines_are_refused(self, files, tmp_path, capsys):
+        gold_ids = {json.loads(l)["id"] for l in files["--gold"].read_text().splitlines()}
+        rows = [json.loads(l) for l in files["--pred"].read_text().splitlines()]
+        preds = tmp_path / "unscored_only.jsonl"
+        preds.write_text("".join(json.dumps({"id": r["id"]} if r["id"] in gold_ids else r)
+                                 + "\n" for r in rows))
+        assert self.eval_with(files, tmp_path / "r.json", pred=preds) == 3
+        assert f"{preds}: no line gives a prediction" in capsys.readouterr().err
+
+
 class TestUnreadableInputs:
     """A directory or an unreadable file in an input slot exits 2 with one line."""
 

@@ -278,23 +278,35 @@ def one_field_mutants(draw, line: str) -> bytes:
     return json.dumps(fields).encode("utf-8")
 
 
+def string_id(raw: bytes) -> str | None:
+    """The string ``id`` of ``raw`` when it decodes to a JSON object with one."""
+    try:
+        d = json.loads(raw)
+    except (ValueError, RecursionError):
+        return None
+    return d["id"] if isinstance(d, dict) and isinstance(d.get("id"), str) else None
+
+
 def read_jsonl_bytes(raw: bytes, parse) -> None:
     """``cli._read_jsonl`` on a file holding ``raw``: a value or a FormatError.
 
-    Each prediction it reads is also scored against one gold record with the
-    same id, which must end in a report or a FormatError too.
+    The file is read in full, then as ``eval`` reads it with no id scored and
+    with the line's own id scored.  Each prediction read is also scored
+    against one gold record with the same id, which must end in a report or a
+    FormatError too.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lines.jsonl"
         path.write_bytes(raw)
-        try:
-            items = cli._read_jsonl(path, parse)
-            if parse is cli._prediction_from_json:
-                for pred in items:
-                    evaluate_predictions([replace(GOLD_RECORD, id=pred.id)], [pred],
-                                         resamples=3)
-        except FormatError:
-            pass
+        for scored in (None, set(), {string_id(raw)}):
+            try:
+                items = cli._read_jsonl(path, parse, scored)
+                if parse is cli._prediction_from_json:
+                    for pred in items:
+                        evaluate_predictions([replace(GOLD_RECORD, id=pred.id)], [pred],
+                                             resamples=3)
+            except FormatError:
+                pass
 
 
 class TestJsonlReaders:

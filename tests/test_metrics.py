@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brainvqa import metrics
 from brainvqa.errors import ConfigError, FormatError
 from brainvqa.metrics import (
     PredictionRecord,
@@ -172,6 +175,58 @@ class TestBootstrap:
         pairs = [("a", "a"), ("b", "x"), ("c", "c"), ("d", "d")]
         assert (bootstrap_std(hits(1, 0, 1, 1), resamples=70, seed=5)
                 == {"t": oracle_std(pairs, resamples=70, seed=5)})
+
+
+def random_pairs(n: int, seed: int, unspecified: bool) -> dict[str, list[tuple]]:
+    """(prediction, gold) pairs of an exact-match and the region task; a fifth
+    of the golds Unspecified, or none."""
+    rng = np.random.default_rng(seed)
+
+    def gold(value):
+        return UNSPECIFIED if unspecified and rng.random() < 0.2 else value
+
+    regions = lambda: sorted(rng.choice(REGION_NAMES, size=rng.integers(0, 3), replace=False))
+    return {
+        "volume": [(str(rng.choice(VOLUME_BINS)), gold(str(rng.choice(VOLUME_BINS[:2]))))
+                   for _ in range(n)],
+        "region": [("N/A" if rng.random() < 0.1 else regions(), gold(regions()))
+                   for _ in range(n)],
+    }
+
+
+def pair_scores(pairs: dict[str, list[tuple]]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    return {task: _scores([p for p, _ in v], [g for _, g in v], region=task == "region")
+            for task, v in pairs.items()}
+
+
+class TestBootstrapBlocks:
+    """Resamples are scored in blocks of at most ``BOOTSTRAP_BLOCK_INDICES``
+    indices, with the bits of the per-resample loop."""
+
+    @pytest.mark.parametrize("unspecified", [False, True])
+    @pytest.mark.parametrize("block", [1, 7 * 300 + 5, metrics.BOOTSTRAP_BLOCK_INDICES])
+    def test_equals_the_per_resample_oracle(self, unspecified, block):
+        pairs = random_pairs(300, seed=block, unspecified=unspecified)
+        scores = pair_scores(pairs)
+        with mock.patch.object(metrics, "BOOTSTRAP_BLOCK_INDICES", block):
+            got = bootstrap_std(scores, resamples=45, seed=9)
+        scorers = {"volume": oracle.task_accuracy, "region": oracle.region_accuracy}
+        assert got == {task: oracle.bootstrap_std(
+            lambda sub, f=scorers[task]: f([p for p, _ in sub], [g for _, g in sub]),
+            v, resamples=45, seed=9) for task, v in pairs.items()}
+
+    def test_peak_memory_stays_below_an_index_stack(self):
+        n, resamples = 20_000, 500
+        scores = pair_scores(random_pairs(n, seed=1, unspecified=True))
+        tracemalloc.start()
+        try:
+            stds = bootstrap_std(scores, resamples=resamples, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(v > 0.0 for v in stds.values())
+        all_at_once = resamples * n * 8  # every resample's int64 indices: 80 MB
+        assert peak < all_at_once / 20
 
 
 class TestCohenKappa:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -85,8 +86,17 @@ class TestComputeDescriptors:
         assert out["flipped"] == out["C"]
 
     def test_absent_label_all_na_together(self):
-        d = descriptor(absent=True)
-        assert (d.volume, d.regions, d.shape, d.spread) == (None, None, None, None)
+        dims = (20, 20, 20)
+        seg = np.zeros(dims, dtype=np.int16)
+        seg[sphere_mask(dims, (6, 6, 10), 3) != 0] = 1
+        mask = LabelMask(Volume3D.from_array(seg),
+                         {1: "Enhancing Tissue", 3: "Surrounding FLAIR Hyperintensity"})
+        present, absent = compute_descriptors("study_a", 4000, mask, block_atlas(dims), 5)
+        assert present.volume is not None and present.spread is not None
+        assert absent.label_name == "Surrounding FLAIR Hyperintensity"
+        assert (absent.volume, absent.regions, absent.shape, absent.spread) == (None,) * 4
+        written = json.loads(descriptor_to_json(absent))
+        assert [written[k] for k in ("volume_bin", "regions", "shape", "spread")] == ["N/A"] * 4
 
     def test_descriptor_json_round_trip(self):
         for d in (descriptor(), descriptor(absent=True)):

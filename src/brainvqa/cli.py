@@ -47,6 +47,8 @@ from .moe import (
 from .nifti import LabelMask, Volume3D, conform_all_to_ras, conform_to_ras, read_nifti_file
 from .qagen import (
     TaskDescriptors,
+    _check_types,
+    _strings,
     compute_descriptors,
     dataset_stats,
     descriptor_from_json,
@@ -57,7 +59,7 @@ from .qagen import (
     split_dataset,
     stats_to_csv,
 )
-from .regions import Atlas, DEFAULT_MIN_OVERLAP_VOXELS, load_region_map
+from .regions import Atlas, DEFAULT_MIN_OVERLAP_VOXELS, load_label_map
 from .rng import stream
 from .surface import marching_cubes, write_off
 from .templates import TASKS, UNSPECIFIED, default_bank, load_bank
@@ -89,15 +91,16 @@ def _stanza(command: str, args: argparse.Namespace) -> str:
 
 
 def _read_jsonl(path, parse, scored=None) -> list:
-    """``parse`` applied to every non-blank line of a UTF-8 JSONL file.
+    """``parse`` applied to the object decoded from every non-blank line of a UTF-8 JSONL file.
 
-    A line that is not UTF-8 JSON, lacks a key, or holds a value ``parse``
-    rejects (``TypeError``, ``ValueError``, or ``OverflowError`` for an
-    infinite count) raises FormatError naming the file and line.
+    A line that is not UTF-8 JSON, is not an object, lacks a key, or holds a
+    value ``parse`` rejects (``TypeError``, ``ValueError``, or
+    ``OverflowError`` for an infinite count) raises FormatError naming the
+    file and line.
 
-    With a set of ``scored`` ids, every non-blank line must still be a JSON
-    object with a string ``id``, but only the lines whose ``id`` is in
-    ``scored`` go through ``parse``; the others are dropped unparsed.
+    With a set of ``scored`` ids, every object must still have a string
+    ``id``, but only the objects whose ``id`` is in ``scored`` go through
+    ``parse``; the others are dropped unparsed.
     """
     items = []
     with open(path, "rb") as fh:
@@ -106,63 +109,44 @@ def _read_jsonl(path, parse, scored=None) -> list:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise TypeError("line is not a JSON object")
                 if scored is not None:
-                    d = json.loads(line)
-                    if not isinstance(d, dict):
-                        raise TypeError("line is not a JSON object")
                     if not isinstance(d["id"], str):
                         raise TypeError(f"id must be a string, not {d['id']!r}")
                     if d["id"] not in scored:
                         continue
-                items.append(parse(line))
+                items.append(parse(d))
             except KeyError as exc:
                 raise FormatError(f"{path}:{lineno}: missing key {exc}") from None
-            except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+            except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
     return items
 
 
 PREDICTION_FIELDS = ("volume", "regions", "shape", "spread", "oos")
+_PREDICTION_TYPES = {"id": (str,), **dict.fromkeys(PREDICTION_FIELDS, (str, type(None))),
+                     "regions": (list, str, type(None))}
 
 
-def _prediction_from_json(line: str) -> PredictionRecord:
-    """One prediction line; a field not of its ``PredictionRecord`` type is a TypeError."""
-    d = json.loads(line)
-    pred = PredictionRecord(
-        id=d["id"], volume=d.get("volume"), regions=d.get("regions"),
+def _prediction_from_json(d: dict) -> PredictionRecord:
+    """One decoded prediction; a field not of its ``PredictionRecord`` type is a TypeError."""
+    _check_types(d, _PREDICTION_TYPES)
+    regions = d.get("regions")
+    return PredictionRecord(
+        id=d["id"], volume=d.get("volume"),
+        regions=_strings("regions", regions) if isinstance(regions, list) else regions,
         shape=d.get("shape"), spread=d.get("spread"), oos=d.get("oos"),
     )
-    if not isinstance(pred.id, str):
-        raise TypeError(f"prediction id must be a string, not {pred.id!r}")
-    for name in ("volume", "shape", "spread", "oos"):
-        if not isinstance(getattr(pred, name), (str, type(None))):
-            raise TypeError(f"prediction {name} must be a string or null")
-    regions = pred.regions
-    if not (regions is None or isinstance(regions, str)
-            or isinstance(regions, list) and all(isinstance(r, str) for r in regions)):
-        raise TypeError("prediction regions must be a list of strings, a string or null")
-    return pred
-
-
-def _load_labels_config(path) -> dict[int, str]:
-    """Label names from UTF-8 JSON ``{label: name}``, bare or under ``"labels"``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        labels = raw.get("labels", raw)
-        return {int(k): str(v) for k, v in labels.items()}
-    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
-        raise ConfigError(
-            f"labels config {path} must be UTF-8 JSON mapping integer labels to names: {exc}"
-        ) from None
 
 
 def _load_atlas(args) -> Atlas:
     atlas_vol = read_nifti_file(args.atlas)
     atlas_vol = conform_to_ras(atlas_vol, (args.spacing,) * 3)
-    region_map = load_region_map(args.region_map)
+    region_map = load_label_map(args.region_map, "region map")
     mask = LabelMask(_integer_labels(atlas_vol), dict(region_map))
-    return Atlas(labels=mask, region_map=region_map, provenance=str(args.atlas))
+    return Atlas(labels=mask, region_map=region_map)
 
 
 def _integer_labels(vol: Volume3D) -> Volume3D:
@@ -229,7 +213,7 @@ def _compute_all_descriptors(args) -> tuple[list[TaskDescriptors], list[dict]]:
     for flag in ("--data-dir", "--labels-config", "--atlas", "--region-map"):
         if getattr(args, flag[2:].replace("-", "_")) is None:
             raise ConfigError(f"describing studies needs {flag}")
-    labels = _load_labels_config(args.labels_config)
+    labels = load_label_map(args.labels_config, "labels config")
     atlas = _load_atlas(args)
     dirs = _study_dirs(args.data_dir)
 

@@ -117,7 +117,6 @@ class VolumeHeader:
     dims: tuple[int, int, int]
     pixdim: tuple[float, float, float]
     affine: np.ndarray
-    datatype_code: int = 64
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
@@ -172,11 +171,7 @@ class Volume3D:
         data = np.asarray(data)
         if affine is None:
             affine = np.diag(list(pixdim) + [1.0])
-        code = _CODE_BY_DTYPE.get(data.dtype, 64)
-        header = VolumeHeader(
-            dims=tuple(data.shape), pixdim=tuple(pixdim), affine=affine, datatype_code=code
-        )
-        return cls(header=header, data=data)
+        return cls(header=VolumeHeader(tuple(data.shape), tuple(pixdim), affine), data=data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Volume3D):
@@ -407,7 +402,7 @@ def parse_nifti(raw: bytes) -> Volume3D:
     else:
         affine = np.diag(pixdim + [1.0])
 
-    header = VolumeHeader(dims=dims, pixdim=tuple(pixdim), affine=affine, datatype_code=code)
+    header = VolumeHeader(dims=dims, pixdim=tuple(pixdim), affine=affine)
     return Volume3D(header=header, data=data)
 
 
@@ -571,7 +566,6 @@ def _ras_header(header: VolumeHeader, spacing: np.ndarray) -> VolumeHeader:
         dims=tuple(int(d) for d in out_dims),
         pixdim=tuple(float(s) for s in spacing),
         affine=out_affine,
-        datatype_code=header.datatype_code,
     )
 
 

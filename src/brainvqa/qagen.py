@@ -281,28 +281,32 @@ def record_to_json(rec: DatasetRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-# The JSON type each writer gives a field, as its reader checks it: one
-# isinstance per field.  Region lists, whose names are sorted and joined, are
-# also checked element by element (``_strings``) where they are read.
+# The JSON types each writer gives a field, as its readers check them: one
+# lookup of a value's exact type per field, so that ``true`` is no integer.
+# Region lists, whose names are sorted and joined, are also checked element
+# by element (``_strings``) where they are read.
 _RECORD_TYPES = {
-    **{key: str for key in ("id", "study_id", "label_name", "split", "question", "answer",
-                            "oos_kind", "gold_volume", "gold_shape", "gold_spread", "template_id")},
-    "task_set": list, "gold_regions": (list, str), "warnings": list}
+    **{key: (str,) for key in ("id", "study_id", "label_name", "split", "question", "answer",
+                               "oos_kind", "gold_volume", "gold_shape", "gold_spread",
+                               "template_id")},
+    "task_set": (list,), "gold_regions": (list, str), "warnings": (list,)}
 _NUMBER_OR_NULL = (float, int, type(None))
 _DESCRIPTOR_TYPES = {
-    "study_id": str, "label_name": str, "volume_bin": str, "volume_fraction": _NUMBER_OR_NULL,
-    "volume_clamped": bool, "region_counts": dict, "shape": str, "spread": str,
-    "core_fraction": _NUMBER_OR_NULL, "n_components": int, "warnings": list}
-_TYPE_NAMES = {str: "a string", bool: "true or false", dict: "an object", int: "an integer",
-               list: "a list", (list, str): "a list or a string",
-               _NUMBER_OR_NULL: "a number or null"}
+    "study_id": (str,), "label_name": (str,), "volume_bin": (str,),
+    "volume_fraction": _NUMBER_OR_NULL, "volume_clamped": (bool,), "region_counts": (dict,),
+    "shape": (str,), "spread": (str,), "core_fraction": _NUMBER_OR_NULL, "n_components": (int,),
+    "warnings": (list,)}
+_TYPE_NAMES = {(str,): "a string", (bool,): "true or false", (dict,): "an object",
+               (int,): "an integer", (list,): "a list", (list, str): "a list or a string",
+               _NUMBER_OR_NULL: "a number or null", (str, type(None)): "a string or null",
+               (list, str, type(None)): "a list, a string or null"}
 
 
 def _check_types(d: dict, types: dict) -> None:
-    """A TypeError naming the first key of ``d`` whose value is not of its type in ``types``."""
-    for key, kind in types.items():
-        if key in d and not isinstance(d[key], kind):
-            raise TypeError(f"{key} must be {_TYPE_NAMES[kind]}, not {d[key]!r}")
+    """A TypeError naming the first key of ``d`` whose value's type is not in ``types``."""
+    for key, kinds in types.items():
+        if key in d and type(d[key]) not in kinds:
+            raise TypeError(f"{key} must be {_TYPE_NAMES[kinds]}, not {d[key]!r}")
 
 
 def _strings(key: str, value) -> list:
@@ -312,9 +316,8 @@ def _strings(key: str, value) -> list:
     return value
 
 
-def record_from_json(line: str) -> DatasetRecord:
-    """One dataset record; a field not of the type ``record_to_json`` writes is a TypeError."""
-    d = json.loads(line)
+def record_from_json(d: dict) -> DatasetRecord:
+    """One decoded record; a field not of the type ``record_to_json`` writes is a TypeError."""
     _check_types(d, _RECORD_TYPES)
     regions = d["gold_regions"]
     return DatasetRecord(
@@ -370,11 +373,10 @@ def descriptor_to_json(desc: TaskDescriptors) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def descriptor_from_json(line: str) -> TaskDescriptors:
-    """One descriptor; a field not of the type ``descriptor_to_json`` writes is a TypeError.
+def descriptor_from_json(d: dict) -> TaskDescriptors:
+    """One decoded descriptor; a field not of the type its writer emits is a TypeError.
 
-    ``regions`` is a list of strings or "N/A"."""
-    d = json.loads(line)
+    ``regions`` is a list of strings or "N/A"; ``region_counts`` maps names to integers."""
     _check_types(d, _DESCRIPTOR_TYPES)
     volume = None
     if d.get("volume_bin", NOT_AVAILABLE) != NOT_AVAILABLE:
@@ -384,7 +386,9 @@ def descriptor_from_json(line: str) -> TaskDescriptors:
         )
     regions = None
     if d.get("regions", NOT_AVAILABLE) != NOT_AVAILABLE:
-        counts = {k: int(v) for k, v in d.get("region_counts", {}).items()}
+        counts = d.get("region_counts", {})
+        if not all(type(c) is int for c in counts.values()):
+            raise TypeError(f"region_counts must be an object of integers, not {counts!r}")
         regions = RegionAssignment(tuple(_strings("regions", d["regions"])), counts)
     shape = d.get("shape") if d.get("shape") != NOT_AVAILABLE else None
     spread = None

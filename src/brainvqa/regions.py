@@ -55,7 +55,6 @@ class RegionAssignment:
 class Atlas:
     labels: LabelMask
     region_map: dict[int, str]
-    provenance: str = ""
 
     def __post_init__(self):
         bad = {name for name in self.region_map.values() if name not in REGION_NAMES}
@@ -66,14 +65,22 @@ class Atlas:
             raise ConfigError(f"atlas labels {sorted(unmapped)} missing from region map")
 
 
-def load_region_map(path) -> dict[int, str]:
-    """Read an integer-label -> region-name UTF-8 JSON map."""
+def load_label_map(path, kind: str) -> dict[int, str]:
+    """Integer label -> name from UTF-8 JSON ``{label: name}``, bare or under ``"labels"``.
+
+    Anything else is a ConfigError naming the ``kind`` of file and its path.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return {int(k): str(v) for k, v in json.load(fh).items()}
+            raw = json.load(fh)
+        names = {int(k): v for k, v in raw.get("labels", raw).items()}
+        for name in names.values():
+            if not isinstance(name, str):
+                raise TypeError(f"label names must be strings, not {name!r}")
+        return names
     except (AttributeError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(
-            f"region map {path} must be UTF-8 JSON mapping integer labels to names: {exc}"
+            f"{kind} {path} must be UTF-8 JSON mapping integer labels to names: {exc}"
         ) from None
 
 

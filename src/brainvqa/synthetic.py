@@ -39,8 +39,7 @@ def block_atlas(dims: tuple[int, int, int] = DEFAULT_DIMS) -> Atlas:
             region_map[label] = REGION_NAMES[label - 1]
             label += 1
     vol = Volume3D.from_array(data)
-    return Atlas(labels=LabelMask(vol, dict(region_map)), region_map=region_map,
-                 provenance="synthetic 3x3 block atlas")
+    return Atlas(labels=LabelMask(vol, dict(region_map)), region_map=region_map)
 
 
 def sphere_mask(dims, center, radius) -> np.ndarray:
@@ -50,22 +49,18 @@ def sphere_mask(dims, center, radius) -> np.ndarray:
 
 
 def demo_study(
-    study_id: str,
-    seed: int,
-    dims: tuple[int, int, int] = DEFAULT_DIMS,
-    labels: dict[int, str] | None = None,
+    study_id: str, seed: int, dims: tuple[int, int, int] = DEFAULT_DIMS
 ) -> tuple[Volume3D, LabelMask]:
     """One random study: a skull-stripped-style brain ball plus lesion blobs.
 
     Labels may be absent (roughly one in five), single, or multi-component so
     every descriptor branch (N/A, satellites, scattered) occurs in a corpus.
     """
-    labels = labels or GLI_LABELS
     rng = stream(seed, "demo-study", study_id)
     center = tuple(d // 2 for d in dims)
     brain = sphere_mask(dims, center, min(dims) // 2 - 2).astype(np.int16) * 100
     seg = np.zeros(dims, dtype=np.int16)
-    for label in sorted(labels):
+    for label in sorted(GLI_LABELS):
         if rng.random() < 0.2:
             continue  # label absent -> all-N/A descriptor
         n_blobs = int(rng.integers(1, 4))
@@ -75,7 +70,7 @@ def demo_study(
             blob = sphere_mask(dims, c, radius)
             seg[(blob != 0) & (brain != 0) & (seg == 0)] = label
     brain_vol = Volume3D.from_array(brain)
-    mask = LabelMask(Volume3D.from_array(seg), dict(labels))
+    mask = LabelMask(Volume3D.from_array(seg), dict(GLI_LABELS))
     return brain_vol, mask
 
 

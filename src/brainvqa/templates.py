@@ -40,7 +40,6 @@ class TemplateBank:
     multitask: list[Template]
     partial_oos: list[Template]
     full_oos: list[Template]
-    provenance: str = ""
 
 
 def _placeholders(text: str) -> set[str]:
@@ -79,7 +78,7 @@ def validate_template(tpl: Template) -> None:
             raise TemplateError(f"{tpl.id}: non-English (non-ASCII) text")
 
 
-def parse_bank(text: str, provenance: str = "") -> TemplateBank:
+def parse_bank(text: str) -> TemplateBank:
     """Parse and validate a bank; raises :class:`BankError` on bad structure."""
     groups: dict[str, list[Template]] = {k: [] for k in KINDS}
     kind: str | None = None
@@ -137,7 +136,6 @@ def parse_bank(text: str, provenance: str = "") -> TemplateBank:
         multitask=groups["multitask"],
         partial_oos=groups["partial_oos"],
         full_oos=groups["full_oos"],
-        provenance=provenance,
     )
     validate_bank(bank)
     return bank
@@ -167,12 +165,12 @@ def load_bank(path) -> TemplateBank:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise BankError(f"bank {path} is not UTF-8 text: {exc}") from None
-    return parse_bank(text, provenance=str(path))
+    return parse_bank(text)
 
 
 def default_bank() -> TemplateBank:
     text = resources.files("brainvqa.data").joinpath("default_bank.txt").read_text("utf-8")
-    return parse_bank(text, provenance="builtin default bank")
+    return parse_bank(text)
 
 
 def render(template: Template, values: dict[str, str]) -> tuple[str, str]:

@@ -295,7 +295,6 @@ class ToyTask:
     train: ToyBatch
     val: ToyBatch
     model: MultiTaskModel
-    signal_dim: int = 0
 
 
 def make_toy_task(
@@ -368,7 +367,6 @@ def make_toy_task(
         train=make_batch(n_train, "train"),
         val=make_batch(n_val, "val"),
         model=MultiTaskModel(moe=moe, heads=heads),
-        signal_dim=signal_dim,
     )
 
 

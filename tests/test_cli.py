@@ -404,7 +404,7 @@ class TestGenerate:
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 12 * 6
-        records = [record_from_json(l) for l in lines]
+        records = [record_from_json(json.loads(l)) for l in lines]
         assert {r.oos_kind for r in records} == {"none", "partial", "full"}
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -697,9 +697,9 @@ class TestMalformedJsonl:
 
 
 class TestEvalChecksScoredIdsInFull:
-    """``eval`` parses in full only the --pred and --kappa lines whose id is a
-    gold id; every other non-blank line must still be a JSON object with a
-    string ``id``."""
+    """``eval`` decodes every non-blank line once, and parses in full only the
+    --pred and --kappa lines whose id is a gold id; every other non-blank line
+    must still be a JSON object with a string ``id``."""
 
     UNSCORED = "unscored/0"
 
@@ -760,6 +760,21 @@ class TestEvalChecksScoredIdsInFull:
         assert self.eval_with(files, out, **{flag[2:]: bad}) == 3
         assert f"{bad}:3:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_decode_per_non_blank_line(self, files, tmp_path, monkeypatch):
+        pred = tmp_path / "pred_with_blanks.jsonl"
+        pred.write_text("\n" + files["--pred"].read_text().replace("\n", "\n \n"))
+        lines = sum(1 for path in (files["--gold"], pred, files["--kappa"])
+                    for line in path.read_text().splitlines() if line.strip())
+        calls, real_loads = [], json.loads
+
+        def counted_loads(text, **kwargs):
+            calls.append(text)
+            return real_loads(text, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted_loads)
+        assert self.eval_with(files, tmp_path / "r.json", pred=pred) == 0
+        assert len(calls) == lines
 
     def test_dataset_as_pred_is_refused(self, files, tmp_path, capsys):
         out = tmp_path / "r.json"

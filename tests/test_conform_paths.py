@@ -66,7 +66,6 @@ def full_grid_conform(vol: Volume3D, target_spacing) -> Volume3D:
         dims=tuple(int(d) for d in out_dims),
         pixdim=tuple(float(s) for s in spacing),
         affine=out_affine,
-        datatype_code=vol.header.datatype_code,
     )
     return Volume3D(header=header, data=out)
 
@@ -74,7 +73,6 @@ def full_grid_conform(vol: Volume3D, target_spacing) -> Volume3D:
 def assert_identical(a: Volume3D, b: Volume3D) -> None:
     assert a.header.dims == b.header.dims
     assert a.header.pixdim == b.header.pixdim
-    assert a.header.datatype_code == b.header.datatype_code
     assert a.header.affine.tobytes() == b.header.affine.tobytes()
     assert a.data.dtype == b.data.dtype
     assert a.data.tobytes() == b.data.tobytes()

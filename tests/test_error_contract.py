@@ -12,17 +12,25 @@ a TrainingError (exit 4), and ``moe-demo`` refuses a step count below 1 or a
 non-finite learning rate (exit 2) before it writes anything.
 
 A descriptor or dataset-record field that is not of the JSON type its writer
-emits (a number for a label name, ``[1, 2]`` for regions) ends every command
-that reads it (``generate``, ``split``, ``eval`` and ``eval --kappa``) in exit
-3, with the file, the line and the key in the message.
+emits (a number for a label name, ``[1, 2]`` for regions, ``true`` for a
+count) ends every command that reads it (``generate``, ``split``, ``eval`` and
+``eval --kappa``) in exit 3, with the file, the line and the key in the
+message.
 
 A config file (labels config, region map, study list) that is not UTF-8 JSON
-of the right shape exits 2, and a template bank that is not UTF-8 exits 3,
-each with one message line and no output written.
+of the right shape, or names a label with anything but a string, exits 2, and
+a template bank that is not UTF-8 exits 3, each with one message line and no
+output written.
+
+At the command level, ``describe``, ``generate``, ``stats``, ``split``,
+``eval`` and ``heatmap`` with one input replaced by a mutant end in exit 0
+with strict JSON outputs, or in exit 2, 3 or 4 with one line and no output.
 """
 from __future__ import annotations
 
+import contextlib
 import gzip
+import io
 import json
 import struct
 import tempfile
@@ -43,6 +51,7 @@ from brainvqa.metrics import evaluate_predictions
 from brainvqa.moe import init_moe_params, load_checkpoint, save_checkpoint
 from brainvqa.nifti import HEADER_SIZE, Volume3D, parse_nifti, write_nifti
 from brainvqa.qagen import descriptor_from_json, record_from_json, record_to_json, sample_questions
+from brainvqa.synthetic import write_fixture
 from brainvqa.templates import default_bank, parse_bank
 from brainvqa.training import make_toy_task, train_toy
 
@@ -242,9 +251,9 @@ DESCRIPTOR_LINES = (
     next(line for line in GOLDEN_LINES if '"volume_bin":"N/A"' in line),
 )
 RECORD_LINE = record_to_json(
-    sample_questions(descriptor_from_json(GOLDEN_LINES[0]), default_bank(), 0)[0]
+    sample_questions(descriptor_from_json(json.loads(GOLDEN_LINES[0])), default_bank(), 0)[0]
 )
-GOLD_RECORD = record_from_json(RECORD_LINE)
+GOLD_RECORD = record_from_json(json.loads(RECORD_LINE))
 PREDICTION_LINE = json.dumps({"id": "study_0000/Enhancing Tissue/0", "volume": "1-5%",
                               "regions": ["frontal"], "shape": "round",
                               "spread": "single lesion", "oos": None})
@@ -354,6 +363,8 @@ MALFORMED_JSON = {
     "invalid-json": b'{"1": "lesion",',
     "not-utf8": b'{"1": "l\xe9sion"}',
     "json-list": b'["lesion"]',
+    "null-name": b'{"1": null}',
+    "nested-null-name": b'{"labels": {"1": null}}',
 }
 
 
@@ -409,6 +420,11 @@ MISTYPED_FIELDS = [
     ("descriptor", "regions", "abc", "generate"),
     ("descriptor", "study_id", ["a"], "generate"),
     ("descriptor", "study_id", ["a"], "split"),
+    ("descriptor", "n_components", True, "generate"),
+    ("descriptor", "volume_fraction", True, "generate"),
+    ("descriptor", "region_counts", {"frontal": "12"}, "generate"),
+    ("descriptor", "region_counts", {"frontal": 1.7}, "generate"),
+    ("descriptor", "region_counts", {"frontal": True}, "generate"),
 ]
 
 
@@ -448,3 +464,108 @@ class TestMistypedJsonlFields:
         assert cli.main(argv + ["--out", out]) == 3
         assert_one_line_error(capsys, "data error", f"{bad}:{lineno}: {key} must be")
         assert not Path(out).exists()
+
+
+# Each command with its input files, named relative to the corpus that
+# ``contract_corpus`` writes ("{in}" is that corpus, "{out}" an empty directory).
+COMMAND_INPUTS = {
+    "describe": (["describe", "--data-dir", "{in}/studies", "--labels-config", "{in}/labels.json",
+                  "--atlas", "{in}/atlas.nii.gz", "--region-map", "{in}/region_map.json",
+                  "--out", "{out}/descriptors.jsonl"],
+                 ("labels.json", "atlas.nii.gz", "region_map.json",
+                  "studies/study_0000/seg.nii.gz", "studies/study_0001/t1.nii.gz")),
+    "generate": (["generate", "--descriptors", "{in}/descriptors.jsonl", "--bank",
+                  "{in}/bank.txt", "--seed", "1", "--out", "{out}/data.jsonl"],
+                 ("descriptors.jsonl", "bank.txt")),
+    "stats": (["stats", "--in", "{in}/data.jsonl", "--out", "{out}/frequencies.csv"],
+              ("data.jsonl",)),
+    "split": (["split", "--seed", "1", "--descriptors", "{in}/descriptors.jsonl",
+               "--out", "{out}/split.json"], ("descriptors.jsonl",)),
+    "split --studies": (["split", "--seed", "1", "--studies", "{in}/studies.txt",
+                         "--out", "{out}/split.json"], ("studies.txt",)),
+    "eval": (["eval", "--gold", "{in}/gold.jsonl", "--pred", "{in}/pred.jsonl", "--kappa",
+              "{in}/kappa.jsonl", "--resamples", "20", "--out", "{out}/report.json"],
+             ("gold.jsonl", "pred.jsonl", "kappa.jsonl")),
+    "heatmap": (["heatmap", "--params", "{in}/params.bvqm", "--bank", "{in}/bank.txt",
+                 "--out", "{out}/heatmap.csv"], ("params.bvqm", "bank.txt")),
+}
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses ``NaN`` and ``Infinity``, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    """``cli.main(argv)`` with stdout dropped: its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestCommandContract:
+    """One input of a command replaced by a mutant ends in exit 0 with strict
+    JSON outputs, or in exit 2, 3 or 4 with one stderr line and no output."""
+
+    @pytest.fixture(scope="class")
+    def contract_corpus(self, tmp_path_factory) -> Path:
+        root = tmp_path_factory.mktemp("contract")
+        write_fixture(root, n_studies=2, seed=7, dims=(24, 24, 24))
+        (root / "bank.txt").write_text(BANK_TEXT, encoding="utf-8")
+        (root / "studies.txt").write_text("study_0000\nstudy_0001\n", encoding="utf-8")
+        save_checkpoint(root / "params.bvqm", init_moe_params(
+            0, n_experts=2, n_modalities=4, d_image=4, d_text=8, hidden=2))
+        for argv in (COMMAND_INPUTS["describe"][0], COMMAND_INPUTS["generate"][0]):
+            assert run_quietly([a.format(**{"in": root, "out": root}) for a in argv])[0] == 0
+        rows = [json.loads(line) for line in (root / "data.jsonl").read_text().splitlines()]
+        (root / "pred.jsonl").write_text("".join(
+            json.dumps({"id": r["id"], "volume": r["gold_volume"], "regions": r["gold_regions"],
+                        "shape": r["gold_shape"], "spread": r["gold_spread"],
+                        "oos": r["oos_kind"]}) + "\n" for r in rows))
+        for name in ("gold.jsonl", "kappa.jsonl"):
+            (root / name).write_bytes((root / "data.jsonl").read_bytes())
+        return root
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_INPUTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_ends_in_output_or_one_line_error(self, contract_corpus, command,
+                                                            data):
+        argv, inputs = COMMAND_INPUTS[command]
+        slot = data.draw(st.sampled_from(inputs), label="slot")
+        files = sorted(str(p.relative_to(contract_corpus))
+                       for p in contract_corpus.rglob("*") if p.is_file())
+        with tempfile.TemporaryDirectory() as tmp:
+            root, out = Path(tmp) / "in", Path(tmp) / "out"
+            out.mkdir()
+            for name in files:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                if name != slot:
+                    (root / name).symlink_to(contract_corpus / name)
+            mutation = data.draw(st.sampled_from(["bytes", "directory", "other file"]),
+                                 label="mutation")
+            if mutation == "bytes":
+                raw = (contract_corpus / slot).read_bytes()
+                (root / slot).write_bytes(data.draw(mutated(raw), label="bytes"))
+            elif mutation == "directory":
+                (root / slot).mkdir()
+            else:
+                other = data.draw(st.sampled_from([f for f in files if f != slot]),
+                                  label="other file")
+                (root / slot).write_bytes((contract_corpus / other).read_bytes())
+            code, err = run_quietly([a.format(**{"in": root, "out": out}) for a in argv])
+            written = sorted(out.iterdir())
+            if code == 0:
+                for path in written:
+                    if path.suffix == ".json":
+                        strict_json(path.read_text("utf-8"))
+                    elif path.suffix == ".jsonl":
+                        for line in path.read_text("utf-8").splitlines():
+                            strict_json(line)
+            else:
+                assert code in (2, 3, 4) and err.count("\n") == 1, (code, err)
+                assert written == [], written
+

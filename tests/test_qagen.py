@@ -100,7 +100,7 @@ class TestComputeDescriptors:
 
     def test_descriptor_json_round_trip(self):
         for d in (descriptor(), descriptor(absent=True)):
-            back = descriptor_from_json(descriptor_to_json(d))
+            back = descriptor_from_json(json.loads(descriptor_to_json(d)))
             assert back.study_id == d.study_id
             assert back.label_name == d.label_name
             assert (back.volume is None) == (d.volume is None)
@@ -168,7 +168,7 @@ class TestSampleQuestions:
     def test_record_json_round_trip(self):
         recs = sample_questions(descriptor(), default_bank(), seed=9)
         for r in recs:
-            assert record_from_json(record_to_json(r)) == r
+            assert record_from_json(json.loads(record_to_json(r))) == r
 
 
 class TestSplit:

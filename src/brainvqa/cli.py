@@ -42,7 +42,6 @@ from .moe import (
     moe_forward,
     moe_forward_oracle,
     save_checkpoint,
-    token_count_comparison,
 )
 from .nifti import LabelMask, Volume3D, conform_all_to_ras, conform_to_ras, read_nifti_file
 from .qagen import (
@@ -183,9 +182,8 @@ def _describe_study(study_dir: Path, labels, atlas, args):
     brain_voxels = int(np.count_nonzero(brain.data))
     del brain  # describe reads only the count: the geometry runs without the full grid
     mask = LabelMask(_integer_labels(seg), dict(labels))
-    mesh_out = getattr(args, "mesh_out", None)
-    if mesh_out:
-        _export_meshes(study_dir.name, mask, spacing, Path(mesh_out))
+    if args.mesh_out:
+        _export_meshes(study_dir.name, mask, spacing, Path(args.mesh_out))
     return compute_descriptors(study_dir.name, brain_voxels, mask, atlas, args.min_overlap)
 
 
@@ -209,10 +207,15 @@ def _export_meshes(study_id: str, mask: LabelMask, spacing, out_dir: Path) -> No
         write_off(mesh, out_dir / f"{study_id}_{stem}.off")
 
 
-def _compute_all_descriptors(args) -> tuple[list[TaskDescriptors], list[dict]]:
+def cmd_describe(args) -> int:
+    print(_stanza("describe", args))
     for flag in ("--data-dir", "--labels-config", "--atlas", "--region-map"):
         if getattr(args, flag[2:].replace("-", "_")) is None:
             raise ConfigError(f"describing studies needs {flag}")
+    if not 0.0 < args.spacing < np.inf:
+        raise ConfigError(f"--spacing must be finite and above 0 mm, got {args.spacing}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     labels = load_label_map(args.labels_config, "labels config")
     atlas = _load_atlas(args)
     dirs = _study_dirs(args.data_dir)
@@ -245,42 +248,23 @@ def _compute_all_descriptors(args) -> tuple[list[TaskDescriptors], list[dict]]:
             descriptors.extend(descs)
     if not descriptors:
         raise FormatError(f"every study failed; first error: {failures[0]['error']}")
-    return descriptors, failures
-
-
-def _write_failures(out_path, failures: list[dict]) -> None:
+    atomic_write(args.out, "\n".join(descriptor_to_json(d) for d in descriptors) + "\n")
     if failures:
-        report = json.dumps({"failures": failures}, indent=2)
-        atomic_write(str(out_path) + ".failures.json", report)
-        print(f"warning: {len(failures)} studies failed; see {out_path}.failures.json",
+        atomic_write(f"{args.out}.failures.json", json.dumps({"failures": failures}, indent=2))
+        print(f"warning: {len(failures)} studies failed; see {args.out}.failures.json",
               file=sys.stderr)
-
-
-def cmd_describe(args) -> int:
-    print(_stanza("describe", args))
-    descriptors, failures = _compute_all_descriptors(args)
-    lines = [descriptor_to_json(d) for d in descriptors]
-    atomic_write(args.out, "\n".join(lines) + "\n")
-    _write_failures(args.out, failures)
     print(f"wrote {len(descriptors)} descriptors to {args.out}")
     return 0
 
 
 def cmd_generate(args) -> int:
     print(_stanza("generate", args))
-    if not args.descriptors and not args.data_dir:
-        raise ConfigError("provide --descriptors or --data-dir")
-    if args.descriptors:  # precomputed descriptors win over a data dir default
-        descriptors = _read_jsonl(args.descriptors, descriptor_from_json)
-        if not descriptors:
-            raise FormatError(f"{args.descriptors} holds no descriptors")
-        failures = []
-    else:
-        descriptors, failures = _compute_all_descriptors(args)
+    descriptors = _read_jsonl(args.descriptors, descriptor_from_json)
+    if not descriptors:
+        raise FormatError(f"{args.descriptors} holds no descriptors")
     bank = load_bank(args.bank) if args.bank else default_bank()
     records = generate_dataset(descriptors, bank, args.seed)
     atomic_write(args.out, "\n".join(record_to_json(r) for r in records) + "\n")
-    _write_failures(args.out, failures)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -297,16 +281,7 @@ def cmd_stats(args) -> int:
 
 def cmd_split(args) -> int:
     print(_stanza("split", args))
-    if bool(args.descriptors) == bool(args.studies):
-        raise ConfigError("provide exactly one of --descriptors or --studies")
-    if args.descriptors:
-        ids = sorted({d.study_id for d in _read_jsonl(args.descriptors, descriptor_from_json)})
-    else:
-        try:
-            with open(args.studies, "r", encoding="utf-8") as fh:
-                ids = sorted({line.strip() for line in fh if line.strip()})
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"studies list {args.studies} is not UTF-8 text: {exc}") from None
+    ids = sorted({d.study_id for d in _read_jsonl(args.descriptors, descriptor_from_json)})
     assignment = split_dataset(ids, args.seed)
     atomic_write(args.out, json.dumps(assignment, indent=2, sort_keys=True) + "\n")
     counts = {part: sum(1 for v in assignment.values() if v == part)
@@ -359,6 +334,9 @@ def cmd_eval(args) -> int:
 
 def cmd_moe_check(args) -> int:
     print(_stanza("moe-check", args))
+    for flag in ("configs", "prompts"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     rng = stream(args.seed, "moe-check")
     rows = []
 
@@ -415,16 +393,14 @@ def cmd_moe_check(args) -> int:
     worst_grad = float(np.max(list(errors.values())))  # NaN-propagating, unlike max()
     rows.append(("gradient vs finite differences (max rel)", worst_grad, 1e-4))
 
-    comparison = token_count_comparison(8, 4)
-    rows.append(("fused/concat token counts", 0.0, 0.0))
     print(f"{'check':48s} {'max error':>12s} {'threshold':>10s} verdict")
     failed = False
     for name, err, thr in rows:
-        ok = err <= max(thr, 0.0) or (thr == 0.0 and err == 0.0)
+        ok = err <= thr  # False for NaN
         failed |= not ok
         print(f"{name:48s} {err:12.3e} {thr:10.0e} {'ok' if ok else 'FAIL'}")
-    print(f"token counts at N_I=8, N_m=4: fused={comparison['fused_tokens']}, "
-          f"concatenated={comparison['concatenated_tokens']}")
+    n_i, n_m = 8, 4
+    print(f"token counts at N_I={n_i}, N_m={n_m}: fused={n_i}, concatenated={n_i * n_m}")
     return 0 if not failed else EXIT_NUMERIC
 
 
@@ -478,19 +454,6 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
-def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data-dir", default=os.environ.get("BRAINVQA_DATA_DIR"),
-                   help="directory of study subdirectories (t1 + seg volumes); "
-                        "defaults to $BRAINVQA_DATA_DIR")
-    p.add_argument("--labels-config", help="JSON mapping mask integer labels to clinical names")
-    p.add_argument("--atlas", help="atlas label volume (.nii/.nii.gz)")
-    p.add_argument("--region-map", help="JSON mapping atlas labels to region names")
-    p.add_argument("--spacing", type=float, default=1.0, help="isotropic working spacing in mm")
-    p.add_argument("--min-overlap", type=int, default=DEFAULT_MIN_OVERLAP_VOXELS,
-                   help="minimum intersecting voxels for a region to count")
-    p.add_argument("--workers", type=int, default=1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brainvqa",
@@ -501,14 +464,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="compute per-(study,label) task descriptors")
-    _add_geometry_flags(p)
+    p.add_argument("--data-dir", default=os.environ.get("BRAINVQA_DATA_DIR"),
+                   help="directory of study subdirectories (t1 + seg volumes); "
+                        "defaults to $BRAINVQA_DATA_DIR")
+    p.add_argument("--labels-config", help="JSON mapping mask integer labels to clinical names")
+    p.add_argument("--atlas", help="atlas label volume (.nii/.nii.gz)")
+    p.add_argument("--region-map", help="JSON mapping atlas labels to region names")
+    p.add_argument("--spacing", type=float, default=1.0, help="isotropic working spacing in mm")
+    p.add_argument("--min-overlap", type=int, default=DEFAULT_MIN_OVERLAP_VOXELS,
+                   help="minimum intersecting voxels for a region to count")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--mesh-out", help="directory for per-label OFF surface meshes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("generate", help="emit the question-answer dataset as JSONL")
-    _add_geometry_flags(p)
-    p.add_argument("--descriptors", help="precomputed descriptor JSONL (skips geometry)")
+    p.add_argument("--descriptors", required=True, help="descriptor JSONL that describe writes")
     p.add_argument("--bank", help="template bank file (default: builtin bank)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -521,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="study-level 80/10/10 split assignment")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--descriptors")
-    p.add_argument("--studies", help="text file with one study id per line")
+    p.add_argument("--descriptors", required=True, help="descriptor JSONL that describe writes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 

@@ -356,14 +356,6 @@ def moe_forward_oracle(
     return e
 
 
-def token_count_comparison(n_positions: int, n_modalities: int) -> dict[str, int]:
-    """Fused token count vs the multi-image concatenation baseline."""
-    return {
-        "fused_tokens": n_positions,
-        "concatenated_tokens": n_positions * n_modalities,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Deterministic prompt embedding (stand-in for an LLM hidden state)
 

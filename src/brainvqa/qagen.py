@@ -284,29 +284,35 @@ def record_to_json(rec: DatasetRecord) -> str:
 # The JSON types each writer gives a field, as its readers check them: one
 # lookup of a value's exact type per field, so that ``true`` is no integer.
 # Region lists, whose names are sorted and joined, are also checked element
-# by element (``_strings``) where they are read.
+# by element (``_strings``) where they are read.  A table with a
+# ``schema_version`` entry also requires its value to be ``SCHEMA_VERSION``.
 _RECORD_TYPES = {
     **{key: (str,) for key in ("id", "study_id", "label_name", "split", "question", "answer",
                                "oos_kind", "gold_volume", "gold_shape", "gold_spread",
                                "template_id")},
-    "task_set": (list,), "gold_regions": (list, str), "warnings": (list,)}
+    "schema_version": (int,), "task_set": (list,), "gold_regions": (list, str),
+    "warnings": (list,)}
 _NUMBER_OR_NULL = (float, int, type(None))
 _DESCRIPTOR_TYPES = {
-    "study_id": (str,), "label_name": (str,), "volume_bin": (str,),
+    "schema_version": (int,), "study_id": (str,), "label_name": (str,), "volume_bin": (str,),
     "volume_fraction": _NUMBER_OR_NULL, "volume_clamped": (bool,), "region_counts": (dict,),
     "shape": (str,), "spread": (str,), "core_fraction": _NUMBER_OR_NULL, "n_components": (int,),
-    "warnings": (list,)}
+    "shape_metrics": (dict, type(None)), "warnings": (list,)}
 _TYPE_NAMES = {(str,): "a string", (bool,): "true or false", (dict,): "an object",
                (int,): "an integer", (list,): "a list", (list, str): "a list or a string",
                _NUMBER_OR_NULL: "a number or null", (str, type(None)): "a string or null",
+               (dict, type(None)): "an object or null",
                (list, str, type(None)): "a list, a string or null"}
 
 
 def _check_types(d: dict, types: dict) -> None:
-    """A TypeError naming the first key of ``d`` whose value's type is not in ``types``."""
+    """A TypeError naming the first key of ``d`` whose value's type is not in ``types``,
+    or a ValueError for another schema's line."""
     for key, kinds in types.items():
         if key in d and type(d[key]) not in kinds:
             raise TypeError(f"{key} must be {_TYPE_NAMES[kinds]}, not {d[key]!r}")
+    if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION and "schema_version" in types:
+        raise ValueError(f"schema_version must be {SCHEMA_VERSION}, not {d['schema_version']!r}")
 
 
 def _strings(key: str, value) -> list:

@@ -34,7 +34,8 @@ GOLDEN_OBLIQUE = Path(__file__).parent / "data" / "golden_descriptors_oblique.js
 GOLDEN_SCATTER = Path(__file__).parent / "data" / "golden_descriptors_scatter.jsonl"
 # SHA-256 of the mesh, heatmap, moe-demo and moe-check outputs, captured while
 # parameter names were still a mapping class over the stacks and marching
-# cubes still interpolated on a float grid.
+# cubes still interpolated on a float grid.  The moe-check digest was taken
+# again when its table lost the constant token-count row.
 PINNED_DIGESTS = Path(__file__).parent / "data" / "golden_output_digests.sha256"
 
 
@@ -316,6 +317,31 @@ class TestDescribe:
         assert f"needs {flag}" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
+    def test_env_var_supplies_data_dir(self, fixture_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("BRAINVQA_DATA_DIR", str(fixture_dir / "studies"))
+        out = tmp_path / "env.jsonl"
+        args = describe_args(fixture_dir, out)
+        idx = args.index("--data-dir")
+        del args[idx : idx + 2]
+        assert main(args) == 0
+        assert out.read_text() == GOLDEN.read_text()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--spacing", "inf"), ("--spacing", "nan"), ("--spacing", "-1"), ("--spacing", "0"),
+        ("--workers", "0"), ("--workers", "-3"),
+    ])
+    def test_spacing_or_workers_out_of_range_is_config_error(
+            self, fixture_dir, tmp_path, capsys, monkeypatch, flag, value):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "read_nifti_file", unread)
+        out = tmp_path / "x.jsonl"
+        assert main(describe_args(fixture_dir, out) + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {flag} must be") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_all_na_descriptor_present(self, fixture_dir, tmp_path):
         out = tmp_path / "desc.jsonl"
         main(describe_args(fixture_dir, out))
@@ -419,37 +445,19 @@ class TestGenerate:
         main(["generate", "--descriptors", str(GOLDEN), "--seed", "6", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_full_pipeline_equals_stub_path(self, fixture_dir, tmp_path):
-        via_dir = tmp_path / "dir.jsonl"
-        via_stub = tmp_path / "stub.jsonl"
-        args = describe_args(fixture_dir, tmp_path / "d.jsonl")
-        args[0] = "generate"
-        main(args + ["--seed", "9"])
-        # describe_args writes to --out d.jsonl; regenerate via stub from golden
-        main(["generate", "--descriptors", str(GOLDEN), "--seed", "9", "--out", str(via_stub)])
-        via_dir_text = (tmp_path / "d.jsonl").read_text()
-        assert via_dir_text == via_stub.read_text()
-
-    def test_requires_an_input(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("BRAINVQA_DATA_DIR", raising=False)
-        assert main(["generate", "--seed", "1", "--out", str(tmp_path / "x.jsonl")]) == 2
-
-    def test_data_dir_without_atlas_is_config_error(self, fixture_dir, tmp_path, capsys):
-        args = describe_args(fixture_dir, tmp_path / "x.jsonl")
-        idx = args.index("--atlas")
-        del args[idx : idx + 2]
-        args[0] = "generate"
-        assert main(args + ["--seed", "1"]) == 2
-        assert "needs --atlas" in capsys.readouterr().err
-
-    def test_env_var_supplies_data_dir(self, fixture_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("BRAINVQA_DATA_DIR", str(fixture_dir / "studies"))
-        out = tmp_path / "env.jsonl"
-        args = describe_args(fixture_dir, out)
-        idx = args.index("--data-dir")
-        del args[idx : idx + 2]
-        assert main(args) == 0
-        assert out.read_text() == GOLDEN.read_text()
+    @pytest.mark.parametrize("command, refused", [
+        ("generate", None), ("split", None), ("generate", "--data-dir"), ("split", "--studies")])
+    def test_descriptors_are_the_only_input(self, tmp_path, capsys, command, refused):
+        """Volumes and study lists reach generate and split only through describe."""
+        out = tmp_path / "out"
+        inputs = ["--descriptors", str(GOLDEN), refused, str(tmp_path)] if refused else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *inputs, "--seed", "1", "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"unrecognized arguments: {refused}" if refused
+                else "required: --descriptors") in err, err
+        assert not out.exists()
 
 
 class TestStatsSplitEval:
@@ -468,17 +476,6 @@ class TestStatsSplitEval:
         assert lines[0] == "task,label,frequency_pct"
         oos = [l for l in lines if l.startswith("out-of-scope,Out-of-scope")]
         assert oos and float(oos[0].split(",")[-1]) == pytest.approx(33.3, abs=0.05)
-
-    def test_split_from_studies_file(self, tmp_path):
-        studies = tmp_path / "studies.txt"
-        studies.write_text("".join(f"s{i}\n" for i in range(10)))
-        out = tmp_path / "split.json"
-        assert main(["split", "--seed", "3", "--studies", str(studies),
-                     "--out", str(out)]) == 0
-        assignment = json.loads(out.read_text())
-        counts = {p: sum(1 for v in assignment.values() if v == p)
-                  for p in ("train", "val", "test")}
-        assert counts == {"train": 8, "val": 1, "test": 1}
 
     def test_eval_perfect_predictions(self, dataset, tmp_path):
         preds = tmp_path / "pred.jsonl"
@@ -545,6 +542,13 @@ class TestMoECommands:
                      "--prompts", "20", "--experts", "4"]) == EXIT_NUMERIC
         row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("gradient"))
         assert "nan" in row and row.endswith("FAIL")
+
+    @pytest.mark.parametrize("flag, value", [("--prompts", "0"), ("--prompts", "-1"),
+                                             ("--configs", "0")])
+    def test_moe_check_fewer_than_one_count_exit_2(self, capsys, flag, value):
+        assert main(["moe-check", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {flag} must be at least 1, got {value}\n"
 
     def test_moe_demo_short_run(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -805,7 +809,6 @@ class TestUnreadableInputs:
                                 "--seed", "1"],
             "--in": ["stats", "--in", "x"],
             "split --descriptors": ["split", "--seed", "1", "--descriptors", "x"],
-            "--studies": ["split", "--seed", "1", "--studies", "x"],
             "--gold": ["eval", "--gold", "x", "--pred", str(data)],
             "--pred": ["eval", "--gold", str(data), "--pred", "x"],
             "--kappa": ["eval", "--gold", str(data), "--pred", str(data), "--kappa", "x"],
@@ -822,7 +825,7 @@ class TestUnreadableInputs:
 
     @pytest.mark.parametrize("flag", [
         "--labels-config", "--atlas", "--region-map", "generate --descriptors",
-        "generate --bank", "--in", "split --descriptors", "--studies", "--gold", "--pred",
+        "generate --bank", "--in", "split --descriptors", "--gold", "--pred",
         "--kappa", "--params", "heatmap --bank"])
     def test_directory_exit_2(self, fixture_dir, dataset, tmp_path, capsys, flag):
         out = tmp_path / "out"

@@ -66,7 +66,8 @@ def run_every_command(root) -> None:
         ["describe", *geometry, "--workers", "2", "--mesh-out", str(root / "m2"),
          "--out", str(root / "desc2.jsonl")],
         ["generate", "--descriptors", str(desc), "--seed", "1", "--out", str(data)],
-        ["generate", *geometry, "--bank", str(bank), "--seed", "1", "--out", str(again)],
+        ["generate", "--descriptors", str(desc), "--bank", str(bank), "--seed", "1",
+         "--out", str(again)],
         ["stats", "--in", str(data), "--out", str(root / "freq.csv")],
         ["split", "--seed", "1", "--descriptors", str(desc), "--out", str(root / "split.json")],
         ["eval", "--gold", str(data), "--pred", str(preds), "--kappa", str(again),

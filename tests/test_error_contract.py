@@ -13,11 +13,12 @@ non-finite learning rate (exit 2) before it writes anything.
 
 A descriptor or dataset-record field that is not of the JSON type its writer
 emits (a number for a label name, ``[1, 2]`` for regions, ``true`` for a
-count) ends every command that reads it (``generate``, ``split``, ``eval`` and
+count), or a ``schema_version`` other than the one it writes, ends every
+command that reads it (``generate``, ``split``, ``stats``, ``eval`` and
 ``eval --kappa``) in exit 3, with the file, the line and the key in the
 message.
 
-A config file (labels config, region map, study list) that is not UTF-8 JSON
+A config file (labels config, region map) that is not UTF-8 JSON
 of the right shape, or names a label with anything but a string, exits 2, and
 a template bank that is not UTF-8 exits 3, each with one message line and no
 output written.
@@ -388,14 +389,6 @@ class TestConfigFiles:
         assert_one_line_error(capsys, "configuration error", str(files[flag]))
         assert not out.exists()
 
-    def test_study_list_not_utf8_is_config_error(self, tmp_path, capsys):
-        studies, out = tmp_path / "studies.txt", tmp_path / "split.json"
-        studies.write_bytes(b"study_0000\nstudy_\xff\n")
-        assert cli.main(["split", "--seed", "1", "--studies", str(studies),
-                         "--out", str(out)]) == 2
-        assert_one_line_error(capsys, "configuration error", str(studies), "UTF-8")
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", [
         ["generate", "--descriptors", str(GOLDEN_PATH), "--seed", "1"], ["heatmap"],
     ], ids=["generate", "heatmap"])
@@ -425,6 +418,14 @@ MISTYPED_FIELDS = [
     ("descriptor", "region_counts", {"frontal": "12"}, "generate"),
     ("descriptor", "region_counts", {"frontal": 1.7}, "generate"),
     ("descriptor", "region_counts", {"frontal": True}, "generate"),
+    ("descriptor", "schema_version", 99, "generate"),
+    ("descriptor", "schema_version", 2, "split"),
+    ("descriptor", "schema_version", True, "generate"),
+    ("descriptor", "shape_metrics", "garbage", "generate"),
+    ("descriptor", "shape_metrics", [1.0], "split"),
+    ("record", "schema_version", 2, "stats"),
+    ("record", "schema_version", 2, "eval"),
+    ("record", "schema_version", "1", "eval --kappa"),
 ]
 
 
@@ -460,6 +461,7 @@ class TestMistypedJsonlFields:
                              str(dataset.parent / "pred.jsonl"), "--kappa", str(bad)],
             "generate": ["generate", "--descriptors", str(bad), "--seed", "1"],
             "split": ["split", "--descriptors", str(bad), "--seed", "1"],
+            "stats": ["stats", "--in", str(bad)],
         }[command]
         assert cli.main(argv + ["--out", out]) == 3
         assert_one_line_error(capsys, "data error", f"{bad}:{lineno}: {key} must be")
@@ -481,8 +483,6 @@ COMMAND_INPUTS = {
               ("data.jsonl",)),
     "split": (["split", "--seed", "1", "--descriptors", "{in}/descriptors.jsonl",
                "--out", "{out}/split.json"], ("descriptors.jsonl",)),
-    "split --studies": (["split", "--seed", "1", "--studies", "{in}/studies.txt",
-                         "--out", "{out}/split.json"], ("studies.txt",)),
     "eval": (["eval", "--gold", "{in}/gold.jsonl", "--pred", "{in}/pred.jsonl", "--kappa",
               "{in}/kappa.jsonl", "--resamples", "20", "--out", "{out}/report.json"],
              ("gold.jsonl", "pred.jsonl", "kappa.jsonl")),
@@ -515,7 +515,6 @@ class TestCommandContract:
         root = tmp_path_factory.mktemp("contract")
         write_fixture(root, n_studies=2, seed=7, dims=(24, 24, 24))
         (root / "bank.txt").write_text(BANK_TEXT, encoding="utf-8")
-        (root / "studies.txt").write_text("study_0000\nstudy_0001\n", encoding="utf-8")
         save_checkpoint(root / "params.bvqm", init_moe_params(
             0, n_experts=2, n_modalities=4, d_image=4, d_text=8, hidden=2))
         for argv in (COMMAND_INPUTS["describe"][0], COMMAND_INPUTS["generate"][0]):

@@ -25,7 +25,6 @@ from brainvqa.moe import (
     moe_forward_oracle,
     named_arrays,
     save_checkpoint,
-    token_count_comparison,
 )
 from brainvqa.rng import stream
 from conftest import edit_manifest, with_manifest
@@ -287,10 +286,6 @@ class TestGranularityAndUtilities:
         tags = default_granularity(16)
         assert tags.count(MODALITY_LEVEL) == 8
         assert tags.count(TOKEN_LEVEL) == 8
-
-    def test_token_count_comparison(self):
-        out = token_count_comparison(144, 4)
-        assert out == {"fused_tokens": 144, "concatenated_tokens": 576}
 
     @pytest.mark.parametrize("size", ["n_experts", "n_modalities", "d_image", "d_text", "hidden"])
     def test_sizes_must_be_positive(self, size):

@@ -28,6 +28,40 @@ def digitized_ellipsoid(semi_axes: tuple[int, int, int], margin: int = 2) -> np.
     return (dist <= 1.0).astype(np.uint8)
 
 
+BRATS_DIMS = (240, 240, 155)
+
+
+def brats_grid_seg(seed: int) -> np.ndarray:
+    """A BraTS-grid int16 label volume around one irregular lesion.
+
+    The FLAIR label (3) is five overlapping ellipsoid lobes of about 40k
+    voxels in all, so its hull takes hundreds of one-apex rounds; an
+    enhancing (1) and a core (2) ellipsoid sit inside its main lobe, and two
+    small FLAIR satellites lie apart from it.
+    """
+    rng = np.random.default_rng(seed)
+    seg = np.zeros(BRATS_DIMS, dtype=np.int16)
+
+    def paint(center, semi, label):
+        lo = np.maximum(np.floor(center - semi).astype(int) - 1, 0)
+        hi = np.ceil(center + semi).astype(int) + 2
+        grids = np.ogrid[tuple(slice(a, b) for a, b in zip(lo, hi))]
+        inside = sum(((g - c) / a) ** 2 for g, c, a in zip(grids, center, semi)) <= 1.0
+        seg[tuple(slice(a, b) for a, b in zip(lo, hi))][inside] = label
+
+    center = np.array([120.0, 110.0, 78.0]) + rng.uniform(-10, 10, size=3)
+    paint(center, rng.uniform(19, 21, size=3), 3)
+    for _ in range(4):
+        direction = rng.normal(size=3)
+        paint(center + 15 * direction / np.linalg.norm(direction),
+              rng.uniform(10, 13, size=3), 3)
+    paint(center, rng.uniform(8, 10, size=3), 1)
+    paint(center, rng.uniform(3, 5, size=3), 2)
+    for offset in ((45.0, 0.0, 10.0), (-30.0, 40.0, -20.0)):
+        paint(center + offset, rng.uniform(2, 4, size=3), 3)
+    return seg
+
+
 def random_blob(seed: int, dims=(16, 16, 16), density: float = 0.35) -> np.ndarray:
     rng = stream(seed, "blob")
     return (rng.random(dims) < density).astype(np.uint8)

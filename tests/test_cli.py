@@ -16,8 +16,8 @@ from brainvqa.moe import init_moe_params, save_checkpoint
 from brainvqa.nifti import LabelMask, Volume3D, conform_to_ras, read_nifti_file, write_nifti_file
 from brainvqa.qagen import record_from_json
 from brainvqa.surface import marching_cubes, write_off
-from brainvqa.synthetic import write_fixture
-from conftest import edit_manifest
+from brainvqa.synthetic import GLI_LABELS, block_atlas, write_fixture
+from conftest import BRATS_DIMS, brats_grid_seg, edit_manifest
 from moe_helpers import save_unchecked
 from test_conform_paths import oblique_affine
 
@@ -142,6 +142,27 @@ def scatter_fixture_dir(tmp_path_factory) -> Path:
     return root
 
 
+@pytest.fixture(scope="session")
+def brats_grid_dir(tmp_path_factory) -> Path:
+    """Two studies on the 240 x 240 x 155 BraTS grid (:func:`brats_grid_seg`,
+    seeds 0 and 1) with an ellipsoid brain, the block atlas and the GLI labels."""
+    root = tmp_path_factory.mktemp("brats_grid")
+    atlas = block_atlas(BRATS_DIMS)
+    write_nifti_file(atlas.labels.volume, root / "atlas.nii.gz")
+    (root / "region_map.json").write_text(
+        json.dumps({str(k): v for k, v in atlas.region_map.items()}))
+    (root / "labels.json").write_text(
+        json.dumps({"labels": {str(k): v for k, v in GLI_LABELS.items()}}))
+    grids = np.ogrid[tuple(slice(0, n) for n in BRATS_DIMS)]
+    brain = sum(((g - n / 2) / (0.38 * n)) ** 2 for g, n in zip(grids, BRATS_DIMS)) <= 1.0
+    for seed in (0, 1):
+        study = root / "studies" / f"study_{seed:04d}"
+        study.mkdir(parents=True)
+        write_nifti_file(Volume3D.from_array(brain.astype(np.int16) * 100), study / "t1.nii.gz")
+        write_nifti_file(Volume3D.from_array(brats_grid_seg(seed)), study / "seg.nii.gz")
+    return root
+
+
 @pytest.fixture
 def geometry_calls(monkeypatch) -> Counter:
     """Counts the calls of ``component_shape_metrics`` by ``compute_descriptors``
@@ -200,6 +221,12 @@ class TestDescribe:
                     + ["--mesh-out", str(mesh_dir)]) == 0
         got = {f"mesh/{path.name}": sha256(path.read_bytes()) for path in mesh_dir.iterdir()}
         assert got == pinned_digests("mesh/")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_brats_grid_corpus_matches_pinned_digest(self, brats_grid_dir, tmp_path, workers):
+        out = tmp_path / "desc.jsonl"
+        assert main(describe_args(brats_grid_dir, out, workers)) == 0
+        assert sha256(out.read_bytes()) == pinned_digests()["describe/brats_grid.jsonl"]
 
     def test_scatter_corpus_covers_its_cases(self, scatter_fixture_dir):
         """After the conform: at least 10 components per label, both averaging

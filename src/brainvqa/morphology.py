@@ -6,12 +6,19 @@ linear index (first axis fastest), so the core component is always index 0
 and outputs are deterministic.
 
 Labeling is array code over a label's voxel coordinates from the study's one
-label split (no full grid): they get a dense index inside their bounding box
-padded by one voxel, the 13 half-neighborhood offsets list every adjacent
-voxel pair once, and the larger root of each disagreeing pair is hooked onto
-the smaller (``np.minimum.at``) with pointer jumping in between until every
-pair agrees (Shiloach & Vishkin 1982).  A labeling is ragged: all voxels in
-one array grouped by component, and the components' voxel counts.
+label split (no full grid), and works on maximal runs along the last axis,
+not on voxels (He, Chao & Suzuki 2008).  The voxels take their C-order index
+inside their bounding box padded by one voxel; a stable sort leaves input in
+C order (as the split gives it) as it is, and the runs are the stretches of
+consecutive indices.  Two runs are 26-adjacent when their lines differ by at
+most one on both other axes and their intervals, one widened by one, overlap:
+for each of the 4 half-neighborhood lines, those runs are one contiguous
+range of the sorted runs, found with two ``searchsorted``.  The larger root
+of each disagreeing pair is hooked onto the smaller (``np.minimum.at``) with
+pointer jumping in between until every pair agrees (Shiloach & Vishkin 1982),
+and each voxel takes its run's component.  A labeling is ragged: all voxels
+in one array grouped by component, each component's in input order, and the
+components' voxel counts.
 """
 from __future__ import annotations
 
@@ -26,15 +33,10 @@ NOT_AVAILABLE = "N/A"
 
 CORE_FRACTION_THRESHOLD = 0.7
 
-# The 13 lexicographically-negative offsets of the 26-neighborhood; each
-# unordered neighbor pair is visited exactly once.
-_HALF_OFFSETS = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) < (0, 0, 0)
-]
+# The 4 lexicographically-negative (first, second) axis offsets of the 8
+# neighbor lines of a last-axis line; each unordered pair of lines is
+# visited once, and two runs of one line are never adjacent.
+_HALF_LINES = [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
 
 
 @dataclass
@@ -99,23 +101,31 @@ def connected_components(
     if n == 0:
         return ComponentLabeling(coords, np.zeros(0, dtype=np.int64), dv)
 
-    # Dense voxel index over the bounding box padded by one voxel, so every
-    # neighbor lookup stays inside the box; -1 marks background.
+    # C-order index in the bounding box padded by one voxel, so a run never
+    # reaches the next line and its widened interval stays on its own line.
     lo = coords.min(axis=0) - 1
-    box = tuple(coords.max(axis=0) - lo + 2)
-    local = (coords - lo).T
-    flat = np.ravel_multi_index(local, box)
-    index = np.full(int(np.prod(box)), -1, dtype=np.int64)
-    index[flat] = np.arange(n)
-    steps = np.array(_HALF_OFFSETS) @ (box[1] * box[2], box[2], 1)
-    neigh = index[flat + steps[:, None]]  # (13, n)
-    hit = neigh >= 0
-    a, b = np.nonzero(hit)[1], neigh[hit]
+    box = coords.max(axis=0) - lo + 2
+    x, y, z = (coords - lo).T
+    linear = (x * box[1] + y) * box[2] + z
+    order = np.argsort(linear, kind="stable")  # one pass over input already in C order
+    linear = linear[order]
+    starts = np.flatnonzero(np.diff(linear, prepend=linear[0] - 2) != 1)
+    length = np.diff(starts, append=n)
+    first, last = linear[starts], linear[starts + length - 1]
+
+    # Runs of a half-neighborhood line that overlap a run's interval widened
+    # by one: a contiguous range of the sorted runs, from the first ending at
+    # or after its start to the last starting at or before its end.
+    steps = np.array(_HALF_LINES) @ (box[1] * box[2], box[2])
+    low = last.searchsorted((first - 1 + steps[:, None]).ravel())
+    count = first.searchsorted((last + 1 + steps[:, None]).ravel(), side="right") - low
+    a = np.repeat(np.tile(np.arange(len(starts)), len(steps)), count)
+    b = np.arange(count.sum()) + np.repeat(low - np.cumsum(count) + count, count)
 
     # Hook the larger root of every disagreeing edge onto the smaller one,
-    # then jump pointers until each voxel points at its root.  Labels only
-    # ever decrease, so each component ends labeled by its lowest index.
-    label = np.arange(n)
+    # then jump pointers until each run points at its root.  Labels only
+    # ever decrease, so each component ends labeled by its lowest run.
+    label = np.arange(len(starts))
     while True:
         la, lb = label[a], label[b]
         differ = la != lb
@@ -127,17 +137,22 @@ def connected_components(
             label = up
 
     # Deterministic ordering: decreasing size, ties by lowest first-voxel
-    # linear index (first axis fastest, matching the volume layout; the box
-    # index orders voxels as the grid index does).
-    _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    linear = np.ravel_multi_index(local, box, order="F")
-    first = np.full(sizes.size, linear.max())
-    np.minimum.at(first, comp, linear)
-    order = np.lexsort((first, -sizes))
-    new_id = np.argsort(order)[comp]
+    # linear index (first axis fastest, matching the volume layout).  A
+    # component's first voxel in that order has its lowest last-axis index,
+    # so it starts a run.
+    _, comp = np.unique(label, return_inverse=True)
+    sizes = np.bincount(comp, weights=length).astype(np.int64)
+    xy, z = np.divmod(first, box[2])
+    x, y = np.divmod(xy, box[1])
+    key = (z * box[1] + y) * box[0] + x
+    lowest = np.full(sizes.size, key.max())
+    np.minimum.at(lowest, comp, key)
+    rank = np.lexsort((lowest, -sizes))
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.repeat(np.argsort(rank)[comp], length)
 
     members = coords[np.argsort(new_id, kind="stable")]
-    return ComponentLabeling(members, sizes[order].astype(np.int64), dv)
+    return ComponentLabeling(members, sizes[rank], dv)
 
 
 def spread_classify(labeling: ComponentLabeling) -> SpreadDescriptor:

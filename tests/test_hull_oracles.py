@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brainvqa import hull
 from brainvqa.errors import DegenerateHullError
 from brainvqa.hull import _corner_candidates, quickhull, voxel_hull_volumes
-from conftest import random_blob
+from brainvqa.morphology import connected_components
+from conftest import brats_grid_seg, random_blob
 from geometry_helpers import float_quickhull, ragged, reference_quickhull, voxel_corner_points
 
 scipy_spatial = pytest.importorskip("scipy.spatial")
@@ -206,6 +208,47 @@ class TestLockstepBatches:
         group = np.repeat([7, 3], [len(cube), len(flat)])
         with pytest.raises(DegenerateHullError):
             quickhull(points, group)
+
+
+class TestInputOrder:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(0.05, 0.4), st.randoms(use_true_random=False))
+    def test_rows_in_any_order_give_the_c_order_volumes(self, seed, density, rnd):
+        """Rows permuted within each component, and the components reordered,
+        give exactly the volumes of the C-order rows, reordered alike."""
+        labeling = connected_components(np.argwhere(random_blob(seed, (10, 10, 10), density)))
+        if not labeling.n_components:
+            return
+        volumes = voxel_hull_volumes(labeling.coords, labeling.sizes)
+        blocks = np.split(labeling.coords, np.cumsum(labeling.sizes)[:-1])
+        order = list(range(len(blocks)))
+        rnd.shuffle(order)
+        shuffled = []
+        for k in order:
+            rows = list(range(len(blocks[k])))
+            rnd.shuffle(rows)
+            shuffled.append(blocks[k][rows])
+        assert voxel_hull_volumes(*ragged(shuffled)) == [volumes[k] for k in order]
+
+
+def test_rounds_take_many_apexes_each(monkeypatch):
+    """A BraTS-size lesion's hull takes far fewer rounds than it has
+    vertices; one apex per round would take a round per vertex."""
+    labeling = connected_components(np.argwhere(brats_grid_seg(0) == 3))
+    candidates = corner_candidates(labeling.coords[:labeling.sizes[0]])
+    rounds = []
+    insert_cones = hull._insert_cones
+
+    def counted(*args):
+        rounds.append(len(rounds))
+        return insert_cones(*args)
+
+    monkeypatch.setattr(hull, "_insert_cones", counted)
+    faces = quickhull(candidates, np.zeros(len(candidates), dtype=np.int64))
+    assert_closed_and_oriented(faces)
+    vertices = len(np.unique(faces))
+    assert labeling.sizes[0] >= 35_000 and vertices >= 400
+    assert 10 * len(rounds) <= vertices, (len(rounds), vertices)
 
 
 def check_closed_form(coords: np.ndarray, spacing, voxel_units: int) -> None:

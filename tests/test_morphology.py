@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -14,7 +15,7 @@ from brainvqa.morphology import (
     connected_components,
     spread_classify,
 )
-from conftest import random_blob
+from conftest import digitized_sphere, random_blob
 from geometry_helpers import split_components
 
 
@@ -135,6 +136,33 @@ class TestConnectedComponents:
         m = random_blob(7, dims=(12, 12, 12), density=0.4)
         lab = connected_components(np.argwhere(m))
         assert lab.total_voxels == int(m.sum())
+
+    def test_rows_in_any_order_label_as_in_c_order(self):
+        """Rows permuted within and across components give the C-order
+        labeling, each component's rows in the order they were given."""
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            coords = np.argwhere(random_blob(seed + 200, dims=(12, 12, 12), density=0.15))
+            reference = connected_components(coords)
+            component = {tuple(row): k for k, rows in enumerate(
+                split_components(reference.coords, reference.sizes)) for row in rows.tolist()}
+            for given in (coords[::-1], coords[rng.permutation(len(coords))]):
+                labeling = connected_components(given)
+                owner = [component[tuple(row)] for row in given.tolist()]
+                assert np.array_equal(labeling.sizes, reference.sizes)
+                assert np.array_equal(labeling.coords, given[np.argsort(owner, kind="stable")])
+
+    def test_peak_memory_per_voxel_on_a_large_ball(self):
+        """Labeling a 38,911-voxel ball peaks within 250 bytes a voxel."""
+        coords = np.argwhere(digitized_sphere(21))
+        tracemalloc.start()
+        try:
+            labeling = connected_components(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labeling.sizes.tolist() == [len(coords)] == [38_911]
+        assert peak <= 250 * len(coords), peak / len(coords)
 
 
 class TestSpreadClassify:

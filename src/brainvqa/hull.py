@@ -80,43 +80,40 @@ def voxel_hull_volumes(
     return (sixfold * (sx * sy * sz) / 48.0).tolist()
 
 
-def _c_order(rows: np.ndarray) -> np.ndarray:
-    """Rows (component, x, y, z) sorted lexicographically: as given when they
-    already strictly are (the labeling of a label split gives them so), else
-    by one two-key sort."""
-    comp = rows[:, 0]
-    x, y, z = (rows[:, 1:] - rows[:, 1:].min(axis=0)).T
-    linear = (x * (y.max() + 1) + y) * (z.max() + 1) + z
+def _line_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (component, x, y, z) in lexicographic order without repeats, and
+    (3, n) masks of the lowest and highest row of each line along each axis
+    (a line: the rows equal in the component and the other two axes).
+
+    Rows already strictly in that order, as the labeling of a label split
+    gives them, are kept as given; others take one two-key sort.
+    """
+    comp, x, y, z = rows.T.copy()
+    x, y, z = x - x.min(), y - y.min(), z - z.min()
+    ny, nz = y.max() + 1, z.max() + 1
+    linear = (x * ny + y) * nz + z
     step = np.diff(comp)
-    if ((step > 0) | ((step == 0) & (np.diff(linear) > 0))).all():
-        return rows
-    return rows[np.lexsort((linear, comp))]
-
-
-def _line_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(3, n) masks of the lowest and highest row of each line along each
-    axis (a line: the rows equal in the other two axes and the component);
-    ``rows`` are distinct (component, x, y, z), sorted lexicographically."""
-    comp = rows[:, 0]
-    x, y, z = (rows[:, 1:] - rows[:, 1:].min(axis=0)).T
-    n, ny, nz = len(rows), y.max() + 1, z.max() + 1
-    lowest, highest = np.empty((2, 3, n), dtype=bool)
+    if not ((step > 0) | ((step == 0) & (np.diff(linear) > 0))).all():
+        order = np.lexsort((linear, comp))
+        order = order[(np.diff(comp[order], prepend=-1) != 0)
+                      | (np.diff(linear[order], prepend=-1) != 0)]
+        rows, comp, x, y, z = rows[order], comp[order], x[order], y[order], z[order]
+    lowest, highest = np.empty((2, 3, len(rows)), dtype=bool)
     for axis, line in enumerate((y * nz + z, x * nz + z, x * ny + y)):
         # A last-axis line is a run of the sorted rows already; a stable sort
         # by (component, line) keeps each other line's rows in sorted order.
-        order = np.lexsort((line, comp)) if axis < 2 else np.arange(n)
+        order = np.lexsort((line, comp)) if axis < 2 else slice(None)
         comp_in, line_in = comp[order], line[order]
-        new_line = np.ones(n + 1, dtype=bool)
+        new_line = np.ones(len(rows) + 1, dtype=bool)
         new_line[1:-1] = (comp_in[1:] != comp_in[:-1]) | (line_in[1:] != line_in[:-1])
         lowest[axis, order], highest[axis, order] = new_line[:-1], new_line[1:]
-    return lowest, highest
+    return rows, lowest, highest
 
 
 def _corner_candidates(voxels: np.ndarray) -> np.ndarray:
     """Sorted doubled-lattice corners that can be hull vertices of their
     component; ``voxels`` and the result are distinct rows (component, x, y, z)."""
-    voxels = _c_order(voxels)
-    lo, hi = _line_ends(voxels)
+    voxels, lo, hi = _line_ends(voxels)
     ends = np.flatnonzero((lo | hi).all(axis=0))  # voxels that end a line on every axis
     # keep[v, s]: corner s of voxel ends[v] is extreme on all three of its axis lines.
     x, y, z = np.stack([lo[:, ends], hi[:, ends]], axis=-1)  # per axis: sign -1, +1
@@ -124,11 +121,7 @@ def _corner_candidates(voxels: np.ndarray) -> np.ndarray:
     voxel, corner = np.nonzero(keep.reshape(-1, 8))
     corners = voxels[ends[voxel]] * (1, 2, 2, 2)
     corners[:, 1:] += _CORNER_SIGNS[corner]
-    corners = _c_order(corners)
-    distinct = np.ones(len(corners), dtype=bool)
-    distinct[1:] = (corners[1:] != corners[:-1]).any(axis=1)
-    corners = corners[distinct]
-    lowest, highest = _line_ends(corners)
+    corners, lowest, highest = _line_ends(corners)
     return corners[(lowest | highest).all(axis=0)]
 
 

@@ -175,7 +175,7 @@ def quickhull(points: np.ndarray, group: np.ndarray) -> np.ndarray:
     apex_of = np.zeros(n_groups, dtype=np.int64)
     while len(live):
         live_group = gid.take(live)
-        starts = np.flatnonzero(np.diff(live_group, prepend=-1))
+        starts = np.flatnonzero(np.concatenate(([True], live_group[1:] != live_group[:-1])))
         best = _group_argmax(height, starts, len(live))
         apex_of[live_group.take(starts)] = live.take(best)
         # Each group's apex sees the faces of its group that it is above (a
@@ -217,8 +217,10 @@ def _apexes(
     near = np.column_stack([slot, twin.reshape(-1, 3).take(slot, axis=0) // 3])
     rank = np.empty(len(face), dtype=np.int64)
     rank[np.argsort(height.take(point), kind="stable")] = np.arange(len(face))
-    out = np.ones(len(face), dtype=bool)  # no longer competing: no closed cap,
-    out[key] = False  # or beside a face that a taken apex sees
+    # Out of the race: a point whose cap did not close, or that sees a face
+    # that a taken apex sees or a neighbour of one.
+    out = np.ones(len(face), dtype=bool)
+    out[key] = False
     won = np.zeros(len(face), dtype=bool)
     for _ in range(2):
         out[key[taken.take(near).any(axis=1)]] = True
@@ -260,7 +262,7 @@ def _caps(
             code = code[second.take(second.searchsorted(code), mode="clip") != code]
             break
         code.sort()
-        code = code[np.diff(code, prepend=-1) != 0]
+        code = np.concatenate([code[:1], code[1:][code[1:] != code[:-1]]])
         found.append(code)
         key, ring = np.divmod(code, top)
     found = np.concatenate(found)
@@ -306,9 +308,9 @@ def _insert_cones(
     # Edge 0 faces the outer face; edge 1 (end, apex) the cone face of the
     # same apex starting at ``end``, whose edge 2 (apex, end) faces back.
     twin[3 * new], twin[outer] = outer, 3 * new
-    ring = key * len(hom) + start
-    by_start = np.argsort(ring)
-    after = new.take(by_start.take(ring.take(by_start).searchsorted(key * len(hom) + end)))
+    rim = key * len(hom) + start
+    by_start = np.argsort(rim)
+    after = new.take(by_start.take(rim.take(by_start).searchsorted(key * len(hom) + end)))
     twin[3 * new + 1], twin[3 * after + 2] = 3 * after + 2, 3 * new + 1
 
     orphan_key = slot_key.take(owner)
@@ -353,5 +355,4 @@ def _planes(hom: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (n, 3) rows, or of (n, 4) rows with column 3 0."""
     k = u.shape[1]
-    return (u.take(_NEXT[:k], axis=1) * v.take(_PREV[:k], axis=1)
-            - u.take(_PREV[:k], axis=1) * v.take(_NEXT[:k], axis=1))
+    return u[:, _NEXT[:k]] * v[:, _PREV[:k]] - u[:, _PREV[:k]] * v[:, _NEXT[:k]]
